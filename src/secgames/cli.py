@@ -2,7 +2,7 @@
 
 Exit codes: 0 success (or decision "true"), 1 decision "false", 2 parse or
 validation error, 3 unsupported problem or measure combination, 4 oracle
-enumeration cap exceeded.
+enumeration cap exceeded, 5 internal error (a failed solver invariant).
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from .equilibrium import synthesize_secure_eq, verify_profile_secure
 from .errors import (
     EnumerationCapError,
     GameFormatError,
+    InternalError,
     InvalidGameError,
     MeasureCombinationError,
     UnsupportedProblemError,
@@ -30,6 +31,7 @@ EXIT_FALSE = 1
 EXIT_INVALID = 2
 EXIT_UNSUPPORTED = 3
 EXIT_CAP = 4
+EXIT_INTERNAL = 5
 
 
 def _load_game(path: str):
@@ -200,6 +202,9 @@ def main(argv=None) -> int:
     except EnumerationCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except InternalError as exc:
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

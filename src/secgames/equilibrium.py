@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import MeasureCombinationError
+from .errors import InternalError, MeasureCombinationError
 from .game import (
     Lasso,
     Measure,
@@ -31,9 +31,8 @@ from .lex import (
     make_view,
     solve_lex,
     _denorm_pair,
-    _extract_uniform,
-    _liminf_values,
     _normalize_aug,
+    _solve_lex_liminf_view,
 )
 
 
@@ -228,7 +227,7 @@ def synthesize_secure_eq(game: WeightedGame, v0: str):
     """Build a finite-memory secure equilibrium from v0.
 
     Returns (profile, outcome lasso, payoff).  The reachable memory of each
-    machine is asserted against |V|+2, or |V|*|E|^2+3 when running through
+    machine is checked against |V|+2, or |V|*|E|^2+3 when running through
     the augmented arena.
     """
     require_valid(game)
@@ -241,7 +240,8 @@ def synthesize_secure_eq(game: WeightedGame, v0: str):
         bound = game.n * len(game.edges) ** 2 + 3
     for mach in (profile.strat1, profile.strat2):
         reach = mach.reachable_states(game, v0)
-        assert len(reach) <= bound, (len(reach), bound)
+        if len(reach) > bound:
+            raise InternalError(f"reachable memory {len(reach)} exceeds the bound {bound}")
     return profile, outcome, payoff
 
 
@@ -274,14 +274,16 @@ def _walk_names(game: WeightedGame, choice: dict[str, str], v0: str) -> Lasso:
 
 
 def _aug_uniform_strategies(game: WeightedGame, which: int, starts: list[int]):
-    """Augmented solve with uniform strategies, in game vertex/extreme keys."""
+    """Augmented solve with uniform strategies, in game vertex/extreme keys.
+
+    The running-extremes arena is a liminf/limsup game, so values and both
+    players' uniform positional strategies come from one threshold
+    bisection on it (`lex._solve_lex_liminf_view`)."""
     view = make_view(game, which)
     aug = augment_view(view, starts, which)
     gaug, info = _normalize_aug(aug)
-    vals = _liminf_values(gaug)
-    aug.values = [_denorm_pair(vals[i], info) for i in range(len(aug.states))]
-    sp = _extract_uniform(gaug, _liminf_values, 0)
-    sa = _extract_uniform(gaug, _liminf_values, 1)
+    vals, sp, sa = _solve_lex_liminf_view(gaug, True)
+    aug.values = [_denorm_pair(pair, info) for pair in vals]
 
     arena = aug.view.arena
 
@@ -414,7 +416,8 @@ def check_secure_outcome(
     # augmented (inf/sup family): values live on extreme-annotated vertices,
     # and every suffix of the lifted play carries the accumulated extremes,
     # so its augmented payoff is the total payoff of the play
-    assert t1.aug is not None and t2.aug is not None
+    if t1.aug is None or t2.aug is None:
+        raise InternalError("augmented check needs both augmented value tables")
     total = eval_lasso_payoff(game, lasso)
     for state in _lift_states(game, lasso):
         if not lex_le(_aug_value(t1, state, 1), total, 1):

@@ -40,3 +40,8 @@ class UnsupportedProblemError(SecgamesError):
 
 class EnumerationCapError(SecgamesError):
     """Raised when a brute-force enumeration exceeds its configured cap."""
+
+
+class InternalError(SecgamesError):
+    """Raised when a solver invariant fails: a bug, never a property of the
+    input.  Unlike `assert`, the check survives `python -O`."""

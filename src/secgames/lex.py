@@ -10,8 +10,10 @@ Per measure family:
     scalar comparisons of simple-cycle means agree with the lexicographic
     order, then solve one mean-payoff game;
   * liminf/limsup: decide thresholds as small parity games on an arena where
-    every edge is split through a weight-labelled intermediate vertex, then
-    take the best accepted threshold per vertex;
+    every edge is split through a weight-labelled intermediate vertex, and
+    bisect the sorted list of candidate thresholds over groups of vertices;
+    uniform strategies are stitched from the positional winning strategies
+    of the threshold solves, per value class;
   * inf/sup: reduce to liminf/limsup on an augmented arena tracking running
     extremes; positional strategies come from a four-step attractor
     partition computed per initial vertex;
@@ -26,7 +28,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import MeasureCombinationError
+from .errors import InternalError, MeasureCombinationError
 from .game import (
     Lasso,
     Measure,
@@ -208,71 +210,70 @@ def _threshold_priorities(split: SplitArena, ma: Measure, alpha, beta) -> tuple[
     return pri, 0
 
 
-def _liminf_threshold_region(split: SplitArena, view: LexView, alpha, beta) -> set[int]:
-    """Original vertices from which the protagonist forces payoff >= (alpha, beta)."""
-    pri, _parity = _threshold_priorities(split, view.ma, alpha, beta)
-    win0, _w1, _s0, _s1 = solve_parity(split.arena, pri)
-    return {v for v in win0 if split.is_orig(v)}
-
-
-def _liminf_values(view: LexView) -> list[tuple[Fraction, Fraction]]:
-    """Values of a liminf/limsup-pair view with natural weights."""
+def _threshold_solver(view: LexView):
+    """Memoised threshold solves on the split arena: pair -> solve_parity result."""
     split = build_split(view)
-    avals = sorted({w for w in view.wa}, reverse=True)
-    bvals = sorted({w for w in view.wb})
-    n = view.arena.n
-    values: list[tuple[Fraction, Fraction] | None] = [None] * n
-    remaining = set(range(n))
-    for a in avals:
-        if not remaining:
-            break
-        for b in bvals:
-            if not remaining:
-                break
-            region = _liminf_threshold_region(split, view, a, b)
-            hit = remaining & region
-            for v in hit:
-                values[v] = (a, b)
-            remaining -= hit
-    if remaining:
-        raise AssertionError("threshold enumeration missed a vertex value")
-    return values  # type: ignore[return-value]
+    solves: dict[tuple, tuple] = {}
 
+    def solve(pair):
+        if pair not in solves:
+            pri, _parity = _threshold_priorities(split, view.ma, *pair)
+            solves[pair] = solve_parity(split.arena, pri)
+        return solves[pair]
 
-def _extract_uniform(view: LexView, values_fn, player: int) -> dict[int, int]:
-    """Edge dichotomy: halve the player's edge sets, keeping halves that
-    preserve every vertex value, until one edge per vertex remains."""
-    base = values_fn(view)
-    keep: dict[int, list[int]] = {}
-    current = set(range(view.arena.m))
-    for v in range(view.arena.n):
-        if view.arena.owner[v] == player:
-            keep[v] = list(view.arena.out_edges[v])
-    for v in sorted(keep):
-        while len(keep[v]) > 1:
-            d = len(keep[v])
-            kept, removed = keep[v][: d // 2], keep[v][d // 2 :]
-            trial = (current - set(removed)) | set(kept)
-            sub, emap = restrict_view(view, trial)
-            if values_fn(sub) == base:
-                keep[v] = kept
-                current = trial
-            else:
-                keep[v] = removed
-                current = (current - set(kept)) | set(removed)
-    # sanity: the fully restricted game still realizes the values
-    sub, _ = restrict_view(view, current)
-    assert values_fn(sub) == base, "dichotomy lost the game value"
-    return {v: es[0] for v, es in keep.items()}
+    return solve
 
 
 def _solve_lex_liminf_view(view: LexView, need_strategies: bool):
-    gamen_values = _liminf_values(view)
-    strat_p = strat_a = None
-    if need_strategies:
-        strat_p = _extract_uniform(view, _liminf_values, 0)
-        strat_a = _extract_uniform(view, _liminf_values, 1)
-    return gamen_values, strat_p, strat_a
+    """Values of a liminf/limsup-pair view with natural weights and, on
+    request, uniform positional strategies of both players (vertex -> edge).
+
+    Values bisect the candidate pairs, sorted weakest first for the
+    protagonist, over groups of vertices; the weakest pair is won everywhere.
+    A protagonist vertex of value c plays its threshold-c winning strategy,
+    an opponent vertex its winning strategy against the next candidate above
+    c.  Winning strategies stay in their winning regions, so values only rise
+    along protagonist-consistent plays and only fall along opponent-consistent
+    ones; each play settles in one value class and, by prefix independence,
+    gets that value.
+    """
+    arena = view.arena
+    cands = [(a, b) for a in sorted(set(view.wa)) for b in sorted(set(view.wb), reverse=True)]
+    solve = _threshold_solver(view)
+    level = [0] * arena.n
+
+    def bisect(vset: set[int], lo: int, hi: int):
+        if lo == hi:
+            for v in vset:
+                level[v] = lo
+        elif vset:
+            mid = (lo + hi + 1) // 2
+            win0 = solve(cands[mid])[0]
+            bisect({v for v in vset if v in win0}, mid, hi)
+            bisect({v for v in vset if v not in win0}, lo, mid - 1)
+
+    bisect(set(range(arena.n)), 0, len(cands) - 1)
+    values = [cands[i] for i in level]
+    if not need_strategies:
+        return values, None, None
+    # split edge k enters the intermediate vertex of edge k: no renumbering
+    strats: tuple[dict[int, int], dict[int, int]] = ({}, {})
+    for v in range(arena.n):
+        i = level[v]
+        if arena.owner[v] == 0:
+            strats[0][v] = solve(cands[i])[2][v]
+        else:
+            strats[1][v] = solve(cands[i + 1])[3][v] if i + 1 < len(cands) else arena.out_edges[v][0]
+    # re-solve with each player held to its stitched edges: a value is c
+    # exactly when threshold c is won and the next candidate is lost
+    for player, strat in enumerate(strats):
+        keep = {k for k in range(arena.m) if arena.owner[arena.edge_src[k]] != player}
+        sub, _emap = restrict_view(view, keep | set(strat.values()))
+        check = _threshold_solver(sub)
+        for v, i in enumerate(level):
+            if v not in check(cands[i])[0] or (i + 1 < len(cands) and v in check(cands[i + 1])[0]):
+                raise InternalError(f"stitched strategy of arena player {player} changes the values")
+    return values, strats[0], strats[1]
 
 
 def solve_lex_liminf_threshold(
@@ -284,10 +285,9 @@ def solve_lex_liminf_threshold(
     view = make_view(gamen, which)
     if view.ma is not view.mb or view.ma not in (Measure.LIMINF, Measure.LIMSUP):
         raise MeasureCombinationError("threshold test needs a liminf or limsup pair")
-    split = build_split(view)
     a, b = (alpha_beta.p1, alpha_beta.p2) if which == 1 else (alpha_beta.p2, alpha_beta.p1)
-    region = _liminf_threshold_region(split, view, Fraction(a), Fraction(b))
-    return game.index[v] in region
+    win0 = _threshold_solver(view)((Fraction(a), Fraction(b)))[0]
+    return game.index[v] in win0
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +631,8 @@ def _solve_lex_mp_view(game: WeightedGame, which: int, need_strategies: bool):
         # cross-check the primary component against the 1-D solve
         prim = info.to_original(primary.values[v])
         own = pair.p1 if which == 1 else pair.p2
-        assert own == prim, "scalarized outcome disagrees with primary value"
+        if own != prim:
+            raise InternalError("scalarized outcome disagrees with primary value")
     strat_p = strat_a = None
     if need_strategies:
         strat_p = {v: k for v, k in scalar.strategy_max.items()}
@@ -655,7 +656,8 @@ def _solve_lex_disc_view(game: WeightedGame, which: int):
                 keep.add(k)
     sub, emap = restrict_view(view, keep)
     for v in range(sub.arena.n):
-        assert sub.arena.out_edges[v], "optimal-edge restriction created a deadlock"
+        if not sub.arena.out_edges[v]:
+            raise InternalError("optimal-edge restriction created a deadlock")
     # protagonist now minimizes the second component on optimal edges
     secondary = solve_discounted(ScalarGame(sub.arena, sub.wb, 1), lam)
     values = [
@@ -737,10 +739,8 @@ def solve_lex(game: WeightedGame, which: int, need_strategies: bool = True) -> L
     view = make_view(game, which)
     aug = augment_view(view, list(range(game.n)), which)
     gaug, info = _normalize_aug(aug)
-    vals = _liminf_values(gaug)
-    aug.values = [
-        (_denorm_pair(vals[i], info)) for i in range(len(aug.states))
-    ]
+    vals, _sp, _sa = _solve_lex_liminf_view(gaug, False)
+    aug.values = [_denorm_pair(pair, info) for pair in vals]
     values = {
         game.vertices[v]: view.pair_to_game(which, *aug.values[aug.start_of[v]])
         for v in range(game.n)
@@ -753,9 +753,11 @@ def solve_lex(game: WeightedGame, which: int, need_strategies: bool = True) -> L
         for v in range(game.n):
             a, b = aug.values[aug.start_of[v]]
             prot, ant, ps, _x, split = _partition(view, a, b, strict_b=False)
-            assert v in prot, "vertex missing from its own value partition"
+            if v not in prot:
+                raise InternalError("vertex missing from its own value partition")
             _t1, t2, _y, ants, split2 = _partition(view, a, b, strict_b=True)
-            assert v in t2, "vertex missing from the dual partition"
+            if v not in t2:
+                raise InternalError("vertex missing from the dual partition")
             name = game.vertices[v]
             smax[name] = _split_strategy_to_names(view, split, ps)
             smin[name] = _split_strategy_to_names(view, split2, ants)

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .errors import InternalError
+
 F = Fraction
 
 
@@ -123,7 +125,8 @@ def simplex_max(A, b, c):
         caux = [F(0)] * (n + m + 1)
         caux[aux] = F(-1)
         status, val = bland_optimize(caux)
-        assert status == "optimal"
+        if status != "optimal":
+            raise InternalError("phase 1 objective is bounded above by 0 yet not optimal")
         if val < 0:
             return "infeasible", None, None
         if aux in basic:
@@ -196,7 +199,8 @@ def lp_feasible(system: LinearSystem):
     status, val, point = simplex_max(A, b, c)
     if status == "infeasible":
         return False, None
-    assert status == "optimal", "the y <= 1 cap precludes unboundedness"
+    if status != "optimal":
+        raise InternalError("the y <= 1 cap precludes unboundedness")
     if val <= 0:
         return False, None
     witness = [point[j] - point[k + j] for j in range(k)]

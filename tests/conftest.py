@@ -55,3 +55,40 @@ def with_measure(game, measure, discount=None):
         measure,
         discount if measure is Measure.DISC else None,
     )
+
+
+@pytest.fixture
+def swapped_parity_game(monkeypatch):
+    """A liminf game where player 1 must take a -> b, with `lex.solve_parity`
+    patched to hand player 1 the other edge at a in every threshold solve
+    that still offers both.  Stitching that strategy loses value at a."""
+    from fractions import Fraction
+
+    from secgames import lex
+    from secgames.game import WeightedGame
+
+    game = WeightedGame(
+        ["a", "b", "c"],
+        {"a": 1, "b": 2, "c": 2},
+        [("a", "b"), ("a", "c"), ("b", "b"), ("c", "c")],
+        {
+            ("a", "b"): (Fraction(5), Fraction(0)),
+            ("a", "c"): (Fraction(1), Fraction(0)),
+            ("b", "b"): (Fraction(5), Fraction(0)),
+            ("c", "c"): (Fraction(1), Fraction(0)),
+        },
+        Measure.LIMINF,
+        Measure.LIMINF,
+    )
+    real = lex.solve_parity
+    a = game.index["a"]
+
+    def swapped(arena, priority):
+        win0, win1, s0, s1 = real(arena, priority)
+        out = arena.out_edges[a]
+        if a in s0 and len(out) == 2:
+            s0[a] = out[1] if s0[a] == out[0] else out[0]
+        return win0, win1, s0, s1
+
+    monkeypatch.setattr(lex, "solve_parity", swapped)
+    return game

@@ -1,8 +1,10 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
+import secgames
 from secgames.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -188,13 +190,29 @@ class TestValidateOracle:
         assert code == 4
 
 
+class TestInternalError:
+    def test_internal_error_exit_five(self, tmp_path, capsys, swapped_parity_game):
+        from secgames.format import serialize_game
+
+        path = tmp_path / "swap.game"
+        path.write_text(serialize_game(swapped_parity_game))
+        code = main(["values", "--game", str(path), "--player", "1"])
+        captured = capsys.readouterr()
+        assert code == 5
+        assert captured.out == ""
+        assert captured.err.startswith("error: internal: ")
+
+
 class TestInstalledEntryPoint:
     def test_console_script_runs(self):
+        # the child imports the same package as this suite, installed or not
+        package_root = str(Path(secgames.__file__).resolve().parents[1])
         proc = subprocess.run(
             [sys.executable, "-m", "secgames.cli", "values", "--game",
              str(FIXTURES / "g1.game"), "--player", "1"],
             capture_output=True,
             text=True,
+            env=dict(os.environ, PYTHONPATH=package_root),
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["kind"] == "lex-values"

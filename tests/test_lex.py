@@ -1,10 +1,12 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import with_measure
-from secgames.errors import MeasureCombinationError
+from secgames import lex
+from secgames.errors import InternalError, MeasureCombinationError
 from secgames.fixtures import game_g1, game_g3
 from secgames.game import Measure, PayoffPair, lex_compare, lex_key, normalize_weights
 from secgames.lex import (
@@ -127,6 +129,50 @@ class TestLimInfLex:
                     assert oracle.determined
                     assert table.values == oracle.maxmin, (g, measure, which)
 
+    def test_uniform_strategies_on_corpus(self, small_corpus):
+        for g in small_corpus[:15]:
+            for measure in (Measure.LIMINF, Measure.LIMSUP):
+                gm = with_measure(g, measure)
+                for which in (1, 2):
+                    table = solve_lex(gm, which)
+                    smax = table.strategy_max()
+                    idx = {gm.index[x]: _edge_index(gm, x, smax[x]) for x in smax}
+                    smin = table.strategy_min()
+                    idx2 = {gm.index[x]: _edge_index(gm, x, smin[x]) for x in smin}
+                    for v in gm.vertices:
+                        val = table.values[v]
+                        got = oracle_guarantee(gm, which, idx, v)
+                        assert lex_compare(got, val, which) >= 0, (v, measure, which)
+                        worst = _oracle_counter_guarantee(gm, which, idx2, v)
+                        assert lex_compare(worst, val, which) <= 0, (v, measure, which)
+
+    @pytest.mark.parametrize("measure", [Measure.LIMINF, Measure.LIMSUP], ids=str)
+    def test_parity_solve_counts(self, monkeypatch, measure):
+        # values take at most ceil(log2 K) threshold solves per value class;
+        # strategies add at most two solves per class for the stitching and
+        # one restricted re-solve of the values per player
+        calls = []
+        real = lex.solve_parity
+
+        def counting(arena, priority):
+            calls.append(arena.n)
+            return real(arena, priority)
+
+        monkeypatch.setattr(lex, "solve_parity", counting)
+        gm = _seeded_game(30_030, 30, 30, measure)
+        k = len(set(gm.w1)) * len(set(gm.w2))
+        bits = math.ceil(math.log2(k))
+        table = solve_lex(gm, 1, need_strategies=False)
+        d = len(set(table.values.values()))
+        assert len(calls) <= d * bits, (len(calls), d, k)
+        calls.clear()
+        assert solve_lex(gm, 1).values == table.values
+        assert len(calls) <= 3 * d * bits + 2 * d, (len(calls), d, k)
+
+    def test_losing_stitched_strategy_raises(self, swapped_parity_game):
+        with pytest.raises(InternalError):
+            solve_lex(swapped_parity_game, 1)
+
     def test_threshold_matches_oracle_on_all_pairs(self, small_corpus):
         for g in small_corpus[:12]:
             gm = with_measure(g, Measure.LIMINF)
@@ -224,6 +270,22 @@ class TestInfSupLex:
                 if m1 is None:
                     continue
                 assert aug.values[i][0] <= m1
+
+
+def _seeded_game(seed, n, w, measure):
+    """n vertices of out-degree 2, weight pairs uniform in [0, w]^2."""
+    from secgames.game import WeightedGame
+
+    rng = random.Random(seed)
+    names = [f"v{i}" for i in range(n)]
+    owners = {x: rng.choice((1, 2)) for x in names}
+    edges, weights = [], {}
+    for i in range(n):
+        for t in rng.sample(range(n), 2):
+            e = (names[i], names[t])
+            edges.append(e)
+            weights[e] = (F(rng.randint(0, w)), F(rng.randint(0, w)))
+    return WeightedGame(names, owners, edges, weights, measure, measure)
 
 
 def _aug_as_game(aug):
