@@ -34,20 +34,26 @@ EXIT_CAP = 4
 EXIT_INTERNAL = 5
 
 
-def _load_game(path: str):
+def _read(path: str) -> bytes:
     try:
         with open(path, "rb") as fh:
-            return fmt.parse_game(fh.read())
+            return fh.read()
     except OSError as exc:
         raise GameFormatError(
             [fmt.Diagnostic("syntax", 0, 0, "io", str(exc))]
         ) from exc
 
 
-def _pick_init(args, init_from_file):
+def _load_game(path: str):
+    return fmt.parse_game(_read(path))
+
+
+def _pick_init(args, game, init_from_file):
     init = getattr(args, "init", None) or init_from_file
     if init is None:
         raise InvalidGameError("no initial vertex: pass --init or declare init")
+    if init not in game.index:
+        raise InvalidGameError(f"unknown initial vertex {init!r}")
     return init
 
 
@@ -77,7 +83,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_synth(args) -> int:
     game, init_file = _load_game(args.game)
-    v0 = _pick_init(args, init_file)
+    v0 = _pick_init(args, game, init_file)
     profile, outcome, payoff = synthesize_secure_eq(game, v0)
     print(fmt.synth_document(game, v0, outcome, payoff, profile))
     if args.out:
@@ -92,9 +98,8 @@ def cmd_synth(args) -> int:
 
 def cmd_verify(args) -> int:
     game, init_file = _load_game(args.game)
-    v0 = _pick_init(args, init_file)
-    with open(args.profile, "rb") as fh:
-        profile, _outcome = fmt.parse_profile(fh.read(), game)
+    v0 = _pick_init(args, game, init_file)
+    profile, _outcome = fmt.parse_profile(_read(args.profile), game)
     ok = verify_profile_secure(game, v0, profile)
     print("true" if ok else "false")
     return EXIT_TRUE if ok else EXIT_FALSE
@@ -102,9 +107,9 @@ def cmd_verify(args) -> int:
 
 def cmd_constrained(args) -> int:
     game, init_file = _load_game(args.game)
-    v0 = _pick_init(args, init_file)
+    v0 = _pick_init(args, game, init_file)
     box = ThresholdBox.parse(args.mu, args.nu)
-    ok = decide_constrained_existence(game, v0, box, jobs=args.jobs)
+    ok = decide_constrained_existence(game, v0, box)
     print("true" if ok else "false")
     return EXIT_TRUE if ok else EXIT_FALSE
 
@@ -139,7 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Lexicographic weighted games: values, secure equilibria, "
         "constrained existence",
     )
-    p.add_argument("--jobs", type=int, default=1, help="worker threads (results are independent of this)")
     sub = p.add_subparsers(dest="command", required=True)
 
     def game_arg(sp):
@@ -155,7 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     game_arg(sp)
     sp.add_argument("--player", type=int, choices=(1, 2), required=True)
     sp.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    sp.add_argument("--seed", type=int, default=0, help="reserved for corpus tooling")
     sp.set_defaults(fn=cmd_oracle)
 
     sp = sub.add_parser("synth", help="synthesize a secure equilibrium")

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import MeasureCombinationError, UnsupportedProblemError
+from .errors import InvalidGameError, MeasureCombinationError, UnsupportedProblemError
 from .game import Measure, PayoffPair, WeightedGame, lex_le, require_valid
 from .graphs import Arena, reachable_from, tarjan_sccs
 from .lex import solve_lex
@@ -40,10 +40,15 @@ class ThresholdBox:
 
     @classmethod
     def parse(cls, mu_text: str, nu_text: str) -> "ThresholdBox":
-        mu = tuple(ExtRational.parse(t) for t in mu_text.split(","))
-        nu = tuple(ExtRational.parse(t) for t in nu_text.split(","))
+        """Box from "a,b" and "c,d" (rationals, inf or -inf); malformed text
+        raises InvalidGameError."""
+        try:
+            mu = tuple(ExtRational.parse(t) for t in mu_text.split(","))
+            nu = tuple(ExtRational.parse(t) for t in nu_text.split(","))
+        except ValueError as exc:
+            raise InvalidGameError(f"bad threshold {mu_text!r} or {nu_text!r}: {exc}") from exc
         if len(mu) != 2 or len(nu) != 2:
-            raise ValueError("thresholds need exactly two components")
+            raise InvalidGameError("thresholds need exactly two components")
         return cls(mu, nu)
 
 
@@ -148,13 +153,16 @@ def _annotated_graph(game: WeightedGame, v0: str) -> ValueAnnotatedGraph:
     )
 
 
-def decide_constrained_existence(
-    game: WeightedGame, v0: str, box: ThresholdBox, jobs: int = 1
-) -> bool:
+def decide_constrained_existence(game: WeightedGame, v0: str, box: ThresholdBox) -> bool:
     """Is there a secure equilibrium from v0 whose payoff lies in the box?
 
-    With jobs > 1 the candidate pairs are evaluated on a thread pool; the
-    verdict is the same either way.
+    That is: is there a play from v0 whose payoff lies in the box and is, in
+    each player's order, at least that player's value at every vertex it
+    visits?  Candidate pairs (c1, c2) of value maxima are tried one at a
+    time: the play must stay on vertices whose values are at most c1 and c2,
+    with a payoff at least both.  Discounted games raise
+    UnsupportedProblemError; different measures for the two players raise
+    MeasureCombinationError.
     """
     require_valid(game)
     if game.measure1 is not game.measure2:
@@ -177,7 +185,6 @@ def decide_constrained_existence(
     graph = _annotated_graph(game, v0)
     cands1 = _distinct(graph.val1)
     cands2 = _distinct(graph.val2)
-    tasks = []
     for c1 in cands1:
         for c2 in cands2:
             sub = {
@@ -185,18 +192,9 @@ def decide_constrained_existence(
                 for v in range(graph.arena.n)
                 if lex_le(graph.val1[v], c1, 1) and lex_le(graph.val2[v], c2, 2)
             }
-            if graph.v0 not in sub:
-                continue
-            tasks.append((sub, c1, c2))
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = pool.map(
-                lambda t: _pair_feasible(graph, t[0], t[1], t[2], box), tasks
-            )
-            return any(list(results))
-    return any(_pair_feasible(graph, sub, c1, c2, box) for sub, c1, c2 in tasks)
+            if graph.v0 in sub and _pair_feasible(graph, sub, c1, c2, box):
+                return True
+    return False
 
 
 def _distinct(values: list[PayoffPair]) -> list[PayoffPair]:
@@ -283,9 +281,6 @@ def _scc_two_flow_feasible(arena, edges, w1, w2, b1: Bounds, b2: Bounds, sup: bo
     ne = len(edges)
     names = [f"x{k}" for k in range(ne)] + [f"y{k}" for k in range(ne)]
     sys = LinearSystem(names)
-
-    def row(values):
-        return values
 
     zero = [F(0)] * (2 * ne)
     # nonnegativity

@@ -30,8 +30,6 @@ from .lex import (
     augment_view,
     make_view,
     solve_lex,
-    _denorm_pair,
-    _normalize_aug,
     _solve_lex_liminf_view,
 )
 
@@ -48,9 +46,6 @@ class MealyStrategy:
 
     def state_count(self) -> int:
         return len(self.states)
-
-    def next_state(self, state: int, vertex: str) -> int:
-        return self.delta[(state, vertex)]
 
     def choice(self, state: int, vertex: str) -> str:
         return self.choose[(state, vertex)]
@@ -274,17 +269,15 @@ def _walk_names(game: WeightedGame, choice: dict[str, str], v0: str) -> Lasso:
 
 
 def _aug_uniform_strategies(game: WeightedGame, which: int, starts: list[int]):
-    """Augmented solve with uniform strategies, in game vertex/extreme keys.
+    """Uniform strategies of the protagonist `which` and of its opponent on
+    the running-extremes arena, in game vertex/extreme keys.
 
-    The running-extremes arena is a liminf/limsup game, so values and both
-    players' uniform positional strategies come from one threshold
-    bisection on it (`lex._solve_lex_liminf_view`)."""
+    The running-extremes arena is a liminf/limsup game, so both players'
+    uniform positional strategies come from one threshold bisection on it
+    (`lex._solve_lex_liminf_view`)."""
     view = make_view(game, which)
-    aug = augment_view(view, starts, which)
-    gaug, info = _normalize_aug(aug)
-    vals, sp, sa = _solve_lex_liminf_view(gaug, True)
-    aug.values = [_denorm_pair(pair, info) for pair in vals]
-
+    aug = augment_view(view, starts)
+    _values, sp, sa = _solve_lex_liminf_view(aug.view, True)
     arena = aug.view.arena
 
     def key_of(state):
@@ -297,14 +290,13 @@ def _aug_uniform_strategies(game: WeightedGame, which: int, starts: list[int]):
             out[key_of(aug.states[si])] = game.vertices[aug.states[arena.edge_tgt[k]][0]]
         return out
 
-    values = {key_of(aug.states[i]): aug.values[i] for i in range(len(aug.states))}
-    return aug, as_map(sp), as_map(sa), values
+    return as_map(sp), as_map(sa)
 
 
 def _synthesize_augmented(game: WeightedGame, v0: str):
     start = [game.index[v0]]
-    aug1, s1, punish2, _vals1 = _aug_uniform_strategies(game, 1, start)
-    aug2, s2, punish1, _vals2 = _aug_uniform_strategies(game, 2, start)
+    s1, punish2 = _aug_uniform_strategies(game, 1, start)
+    s2, punish1 = _aug_uniform_strategies(game, 2, start)
     # game-coordinate extreme tracking shared by both machines
     fam_min = game.measure1 in (Measure.INF, Measure.LIMINF)
     comb = min if fam_min else max

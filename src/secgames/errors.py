@@ -19,7 +19,9 @@ class GameFormatError(SecgamesError):
 
 
 class InvalidGameError(SecgamesError):
-    """Raised when an operation receives a structurally invalid game."""
+    """Raised when an operation receives a structurally invalid game, or a
+    problem input that does not fit it: an unknown initial vertex or a
+    malformed threshold box."""
 
 
 class InvalidLassoError(SecgamesError):

@@ -37,6 +37,25 @@ class Diagnostic:
         return f"{self.kind} error at {self.line}:{self.column} [{self.code}] {self.message}"
 
 
+def _decode(text: str | bytes) -> str:
+    """Document text; bytes that are not UTF-8 raise a positioned
+    GameFormatError."""
+    if isinstance(text, str):
+        return text
+    try:
+        return text.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_start = text.rfind(b"\n", 0, exc.start) + 1
+        diag = Diagnostic(
+            "syntax",
+            text.count(b"\n", 0, exc.start) + 1,
+            exc.start - line_start + 1,
+            "encoding",
+            f"invalid UTF-8 byte 0x{text[exc.start]:02x}",
+        )
+        raise GameFormatError([diag]) from exc
+
+
 def _measure_of(token: str) -> Measure | None:
     try:
         return Measure(token)
@@ -50,8 +69,7 @@ def parse_game(text: str | bytes):
     Raises GameFormatError carrying positioned diagnostics on any syntax or
     semantic problem.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
+    text = _decode(text)
     diags: list[Diagnostic] = []
     measures: dict[int, Measure] = {}
     discount = None
@@ -185,22 +203,37 @@ def serialize_profile(profile: StrategyProfile, outcome: Lasso) -> str:
     return "\n".join(out) + "\n"
 
 
+def _natural(token: str) -> int | None:
+    try:
+        return int(token) if token.isdecimal() else None
+    except ValueError:  # longer than int() converts
+        return None
+
+
 def parse_profile(text: str | bytes, game: WeightedGame):
-    """Parse a profile document; returns (StrategyProfile, outcome Lasso)."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
+    """Parse a profile document; returns (StrategyProfile, outcome Lasso).
+
+    A machine's `states` line comes before its other lines.  Each machine
+    needs a `next` line for every (state, vertex) pair and a `move` line for
+    every pair at a vertex it owns, with state ids below its state count.
+    Anything else raises GameFormatError with positioned diagnostics.
+    """
+    text = _decode(text)
     diags: list[Diagnostic] = []
     stem: tuple[str, ...] | None = None
     cycle: tuple[str, ...] | None = None
     machines: dict[int, dict] = {}
+    undeclared: set[int] = set()
 
-    def state_id(token, line_no):
-        if not token.startswith("s") or not token[1:].isdigit():
-            diags.append(
-                Diagnostic("syntax", line_no, 1, "state", f"bad state token {token!r}")
-            )
+    def error(kind, line_no, code, message):
+        diags.append(Diagnostic(kind, line_no, 1, code, message))
+
+    def state_id(mach, token, line_no):
+        state = _natural(token[1:]) if token.startswith("s") else None
+        if state is None or state >= mach["n"]:
+            error("syntax", line_no, "state", f"bad state {token!r} of {mach['n']} states")
             return 0
-        return int(token[1:])
+        return state
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -211,41 +244,49 @@ def parse_profile(text: str | bytes, game: WeightedGame):
             stem = tuple(parts[2:])
         elif parts[0] == "outcome" and len(parts) >= 3 and parts[1] == "cycle":
             cycle = tuple(parts[2:])
-        elif parts[0] == "machine" and len(parts) >= 3:
-            i = int(parts[1])
-            mach = machines.setdefault(i, {"delta": {}, "choose": {}, "n": 0, "init": 0})
-            if parts[2] == "states":
-                mach["n"] = int(parts[3])
-                mach["init"] = state_id(parts[5], line_no)
-            elif parts[2] == "next" and len(parts) == 6:
-                mach["delta"][(state_id(parts[3], line_no), parts[4])] = state_id(
-                    parts[5], line_no
-                )
-            elif parts[2] == "move" and len(parts) == 6:
-                choice = parts[5]
-                if not game.has_edge(parts[4], choice):
-                    diags.append(
-                        Diagnostic(
-                            "semantic",
-                            line_no,
-                            1,
-                            "not-an-edge",
-                            f"move {parts[4]} -> {choice} is not an edge",
-                        )
-                    )
-                mach["choose"][(state_id(parts[3], line_no), parts[4])] = choice
-            else:
-                diags.append(
-                    Diagnostic("syntax", line_no, 1, "machine", f"bad machine line: {line}")
-                )
+        elif parts[0] != "machine":
+            error("syntax", line_no, "keyword", f"unknown line: {line}")
+        elif len(parts) != 6 or parts[1] not in ("1", "2") or not (
+            parts[2] in ("next", "move")
+            or (parts[2] == "states" and _natural(parts[3]) is not None and parts[4] == "init")
+        ):
+            error("syntax", line_no, "machine", f"bad machine line: {line}")
+        elif parts[2] == "states":
+            mach = {"delta": {}, "choose": {}, "n": _natural(parts[3]), "line": line_no}
+            mach["init"] = state_id(mach, parts[5], line_no)
+            machines[int(parts[1])] = mach
+        elif int(parts[1]) not in machines:
+            if int(parts[1]) not in undeclared:
+                undeclared.add(int(parts[1]))
+                error("syntax", line_no, "machine", f"machine line before its states line: {line}")
         else:
-            diags.append(
-                Diagnostic("syntax", line_no, 1, "keyword", f"unknown line: {line}")
-            )
+            mach = machines[int(parts[1])]
+            state, vertex, target = parts[3:]
+            if parts[2] == "next":
+                key = (state_id(mach, state, line_no), vertex)
+                mach["delta"][key] = state_id(mach, target, line_no)
+            else:
+                if not game.has_edge(vertex, target):
+                    message = f"move {vertex} -> {target} is not an edge"
+                    error("semantic", line_no, "not-an-edge", message)
+                mach["choose"][(state_id(mach, state, line_no), vertex)] = target
     if cycle is None or stem is None:
-        diags.append(Diagnostic("semantic", 1, 1, "outcome", "missing outcome lasso"))
-    if sorted(machines) != [1, 2]:
-        diags.append(Diagnostic("semantic", 1, 1, "machines", "need machines 1 and 2"))
+        error("semantic", 1, "outcome", "missing outcome lasso")
+    for i in (1, 2):
+        mach = machines.get(i)
+        if mach is None:
+            error("semantic", 1, "machines", f"missing machine {i}")
+            continue
+        owned = [v for v in game.vertices if game.owner[v] == i]
+        for kind, table, vertices in (
+            ("next", mach["delta"], game.vertices),
+            ("move", mach["choose"], owned),
+        ):
+            pairs = ((s, v) for s in range(mach["n"]) for v in vertices)
+            gap = next((pair for pair in pairs if pair not in table), None)
+            if gap is not None:
+                message = f"machine {i} has no {kind} line for s{gap[0]} {gap[1]}"
+                error("semantic", mach["line"], f"missing-{kind}", message)
     if diags:
         raise GameFormatError(diags)
     built = {}
@@ -295,13 +336,6 @@ def synth_document(game, v0, outcome: Lasso, payoff: PayoffPair, profile: Strate
         "payoff": _pair_json(payoff),
         "memory": [profile.strat1.state_count(), profile.strat2.state_count()],
     }
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
-def decision_document(kind: str, answer: bool, detail: dict | None = None) -> str:
-    doc = {"kind": kind, "answer": answer}
-    if detail:
-        doc.update(detail)
     return json.dumps(doc, indent=2, sort_keys=True)
 
 

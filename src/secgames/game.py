@@ -13,7 +13,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InvalidGameError, InvalidLassoError
 
@@ -72,14 +72,6 @@ def lex_le(x: PayoffPair, y: PayoffPair, which: int) -> bool:
     return lex_compare(x, y, which) <= 0
 
 
-def lex_max(pairs: Iterable[PayoffPair], which: int) -> PayoffPair:
-    return max(pairs, key=lambda p: lex_key(p, which))
-
-
-def lex_min(pairs: Iterable[PayoffPair], which: int) -> PayoffPair:
-    return min(pairs, key=lambda p: lex_key(p, which))
-
-
 class WeightedGame:
     """Finite two-player arena with rational weight pairs on edges.
 
@@ -128,12 +120,6 @@ class WeightedGame:
             a, b = self.weights[e]
             self.w1.append(a)
             self.w2.append(b)
-
-    def measure_of(self, player: int) -> Measure:
-        return self.measure1 if player == 1 else self.measure2
-
-    def weight_of(self, u: str, v: str) -> tuple[Fraction, Fraction]:
-        return self.weights[(u, v)]
 
     def has_edge(self, u: str, v: str) -> bool:
         return (u, v) in self.weights
@@ -276,12 +262,6 @@ class NormalizationInfo:
 
     a_star: int
     b_star: int
-    max_weight1: int
-    max_weight2: int
-
-    @property
-    def max_weight(self) -> int:
-        return max(self.max_weight1, self.max_weight2)
 
     def to_natural(self, w: Fraction) -> Fraction:
         return w * self.b_star - self.a_star * self.b_star
@@ -308,18 +288,15 @@ def normalize_weights(game: WeightedGame) -> tuple[WeightedGame, NormalizationIn
         b_star = b_star * w.denominator // math.gcd(b_star, w.denominator)
     smallest_num = min(int(w * b_star) for w in all_weights)
     a_star = min(0, smallest_num)
-    info = NormalizationInfo(a_star, b_star, 0, 0)
+    info = NormalizationInfo(a_star, b_star)
     new_weights = {
         e: (info.to_natural(w1), info.to_natural(w2))
         for e, (w1, w2) in game.weights.items()
     }
-    max1 = max(int(w[0]) for w in new_weights.values())
-    max2 = max(int(w[1]) for w in new_weights.values())
-    info = NormalizationInfo(a_star, b_star, max1, max2)
     return game.with_weights(new_weights), info
 
 
-def denormalize_value(value: PayoffPair, info: NormalizationInfo, measure: Measure) -> PayoffPair:
+def denormalize_value(value: PayoffPair, info: NormalizationInfo) -> PayoffPair:
     """Invert normalize_weights on a computed payoff pair.
 
     Valid for all seven measures: each commutes with positive affine maps of

@@ -24,17 +24,16 @@ Per measure family:
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalError, MeasureCombinationError
 from .game import (
     Lasso,
     Measure,
-    NormalizationInfo,
     PayoffPair,
     WeightedGame,
+    denormalize_value,
     eval_lasso_payoff,
     normalize_weights,
     require_valid,
@@ -161,13 +160,13 @@ def build_split(view: LexView) -> SplitArena:
 # liminf / limsup lexicographic games
 
 
-def _threshold_priorities(split: SplitArena, ma: Measure, alpha, beta) -> tuple[list[int], int]:
-    """Priority labelling so that the protagonist forces
+def _threshold_priorities(split: SplitArena, ma: Measure, alpha, beta) -> list[int]:
+    """Priority labelling so that the protagonist (arena player 0) forces
     (alpha, beta) <= payoff  iff he wins the parity condition.
 
-    Returns (priorities, protagonist_parity).  Both measures of the pair are
-    `ma` (liminf or limsup); weights must be naturals and alpha integral so
-    that "strictly above alpha" is "at least alpha + 1".
+    Both measures of the pair are `ma` (liminf or limsup).  Weights are only
+    compared with alpha and beta, so any rationals work and a positive
+    affine map of the weights and the threshold leaves the labelling as is.
     """
     pri = []
     if ma is Measure.LIMINF:
@@ -189,7 +188,7 @@ def _threshold_priorities(split: SplitArena, ma: Measure, alpha, beta) -> tuple[
                 pri.append(1)
             else:
                 pri.append(0)
-        return pri, 0
+        return pri
     # limsup: recurring first-weight above alpha (4) wins outright; else the
     # protagonist needs recurring exactly-alpha (2) with only finitely many
     # second-weights above beta (3); neutral vertices recur harmlessly (1)
@@ -207,7 +206,7 @@ def _threshold_priorities(split: SplitArena, ma: Measure, alpha, beta) -> tuple[
             pri.append(2)
         else:
             pri.append(1)
-    return pri, 0
+    return pri
 
 
 def _threshold_solver(view: LexView):
@@ -217,7 +216,7 @@ def _threshold_solver(view: LexView):
 
     def solve(pair):
         if pair not in solves:
-            pri, _parity = _threshold_priorities(split, view.ma, *pair)
+            pri = _threshold_priorities(split, view.ma, *pair)
             solves[pair] = solve_parity(split.arena, pri)
         return solves[pair]
 
@@ -225,8 +224,8 @@ def _threshold_solver(view: LexView):
 
 
 def _solve_lex_liminf_view(view: LexView, need_strategies: bool):
-    """Values of a liminf/limsup-pair view with natural weights and, on
-    request, uniform positional strategies of both players (vertex -> edge).
+    """Values of a liminf/limsup-pair view (pairs of its own weights) and,
+    on request, uniform positional strategies of both players (vertex -> edge).
 
     Values bisect the candidate pairs, sorted weakest first for the
     protagonist, over groups of vertices; the weakest pair is won everywhere.
@@ -276,20 +275,6 @@ def _solve_lex_liminf_view(view: LexView, need_strategies: bool):
     return values, strats[0], strats[1]
 
 
-def solve_lex_liminf_threshold(
-    game: WeightedGame, v: str, alpha_beta: PayoffPair, which: int
-) -> bool:
-    """Can player `which` force a payoff at least (alpha, beta) from v, in
-    the normalized-naturals scale?"""
-    gamen, _info = normalize_weights(game)
-    view = make_view(gamen, which)
-    if view.ma is not view.mb or view.ma not in (Measure.LIMINF, Measure.LIMSUP):
-        raise MeasureCombinationError("threshold test needs a liminf or limsup pair")
-    a, b = (alpha_beta.p1, alpha_beta.p2) if which == 1 else (alpha_beta.p2, alpha_beta.p1)
-    win0 = _threshold_solver(view)((Fraction(a), Fraction(b)))[0]
-    return game.index[v] in win0
-
-
 # ---------------------------------------------------------------------------
 # augmentation for inf / sup (running extremes)
 
@@ -300,18 +285,10 @@ class AugSolve:
     play suffixes can be re-evaluated at augmented vertices."""
 
     view: LexView  # augmented view (liminf/limsup measures), in view coords
-    which: int
     states: list[tuple]  # (orig vertex index, extreme_a, extreme_b)
     state_index: dict
     start_of: dict[int, int]  # orig vertex -> index of (v, TOP, TOP)
-    orig_edge: list[int]  # aug edge -> original edge index
     values: list[tuple[Fraction, Fraction]] | None = None
-    track_a: bool = True
-    track_b: bool = True
-    comb_a: object = min
-    comb_b: object = min
-    base_wa: list[Fraction] = field(default_factory=list)
-    base_wb: list[Fraction] = field(default_factory=list)
 
 
 def _family(measure: Measure) -> str | None:
@@ -322,7 +299,7 @@ def _family(measure: Measure) -> str | None:
     return None
 
 
-def augment_view(view: LexView, starts: list[int], which: int) -> AugSolve:
+def augment_view(view: LexView, starts: list[int]) -> AugSolve:
     fam_a, fam_b = _family(view.ma), _family(view.mb)
     if fam_a is None or fam_b is None or fam_a != fam_b:
         raise MeasureCombinationError(
@@ -354,7 +331,6 @@ def augment_view(view: LexView, starts: list[int], which: int) -> AugSolve:
     edges = []
     ewa: list[Fraction] = []
     ewb: list[Fraction] = []
-    orig_edge: list[int] = []
     qi = 0
     while qi < len(frontier):
         si = frontier[qi]
@@ -372,7 +348,6 @@ def augment_view(view: LexView, starts: list[int], which: int) -> AugSolve:
             edges.append((si, ti))
             ewa.append(na if track_a else wa)
             ewb.append(nb if track_b else wb)
-            orig_edge.append(k)
     owner = [arena.owner[s[0]] for s in states]
     aug_arena = Arena(len(states), owner, edges)
     ma = Measure.LIMINF if fam_a == "min" else Measure.LIMSUP
@@ -385,22 +360,7 @@ def augment_view(view: LexView, starts: list[int], which: int) -> AugSolve:
         view.discount,
         [f"{view.names[s[0]]}|{s[1]}|{s[2]}" for s in states],
     )
-    aug = AugSolve(
-        aug_view,
-        which,
-        states,
-        index,
-        start_of,
-        orig_edge,
-        None,
-        track_a,
-        track_b,
-        comb,
-        comb,
-        list(view.wa),
-        list(view.wb),
-    )
-    return aug
+    return AugSolve(aug_view, states, index, start_of)
 
 
 # ---------------------------------------------------------------------------
@@ -679,10 +639,6 @@ def _edge_strategy_to_names(game: WeightedGame, strat: dict[int, int]) -> dict[s
     }
 
 
-def _denorm_pair(pair, info: NormalizationInfo) -> tuple[Fraction, Fraction]:
-    return info.to_original(pair[0]), info.to_original(pair[1])
-
-
 def solve_lex(game: WeightedGame, which: int, need_strategies: bool = True) -> LexValueTable:
     """Values and optimal strategies of the lexicographic game of player
     `which`.  Same-measure pairs support all seven measures; mixed pairs are
@@ -725,7 +681,7 @@ def solve_lex(game: WeightedGame, which: int, need_strategies: bool = True) -> L
         view = make_view(gamen, which)
         vals, sp, sa = _solve_lex_liminf_view(view, need_strategies)
         values = {
-            game.vertices[v]: view.pair_to_game(which, *_denorm_pair(vals[v], info))
+            game.vertices[v]: denormalize_value(view.pair_to_game(which, *vals[v]), info)
             for v in range(game.n)
         }
         table = LexValueTable(which, values, True, None, None)
@@ -737,10 +693,8 @@ def solve_lex(game: WeightedGame, which: int, need_strategies: bool = True) -> L
     # inf/sup (possibly mixed with liminf/limsup of the same family):
     # reduce to a liminf/limsup pair over running extremes
     view = make_view(game, which)
-    aug = augment_view(view, list(range(game.n)), which)
-    gaug, info = _normalize_aug(aug)
-    vals, _sp, _sa = _solve_lex_liminf_view(gaug, False)
-    aug.values = [_denorm_pair(pair, info) for pair in vals]
+    aug = augment_view(view, list(range(game.n)))
+    aug.values, _sp, _sa = _solve_lex_liminf_view(aug.view, False)
     values = {
         game.vertices[v]: view.pair_to_game(which, *aug.values[aug.start_of[v]])
         for v in range(game.n)
@@ -764,62 +718,3 @@ def solve_lex(game: WeightedGame, which: int, need_strategies: bool = True) -> L
         table.strat_max = smax
         table.strat_min = smin
     return table
-
-
-def solve_lex_mp(game: WeightedGame, which: int, need_strategies: bool = True) -> LexValueTable:
-    """Mean-payoff pair solver (both measures mpinf, or both mpsup)."""
-    if game.measure1 is not game.measure2 or game.measure1 not in (
-        Measure.MPINF,
-        Measure.MPSUP,
-    ):
-        raise MeasureCombinationError("solve_lex_mp needs a matching mean-payoff pair")
-    return solve_lex(game, which, need_strategies)
-
-
-def solve_lex_liminf(game: WeightedGame, which: int, need_strategies: bool = True) -> LexValueTable:
-    """Limit-value pair solver (both measures liminf, or both limsup)."""
-    if game.measure1 is not game.measure2 or game.measure1 not in (
-        Measure.LIMINF,
-        Measure.LIMSUP,
-    ):
-        raise MeasureCombinationError("solve_lex_liminf needs a liminf or limsup pair")
-    return solve_lex(game, which, need_strategies)
-
-
-def solve_lex_inf(game: WeightedGame, which: int, need_strategies: bool = True) -> LexValueTable:
-    """Extreme-value pair solver (both measures inf, or both sup)."""
-    if game.measure1 is not game.measure2 or game.measure1 not in (
-        Measure.INF,
-        Measure.SUP,
-    ):
-        raise MeasureCombinationError("solve_lex_inf needs an inf or sup pair")
-    return solve_lex(game, which, need_strategies)
-
-
-def solve_lex_disc(game: WeightedGame, which: int) -> LexValueTable:
-    """Discounted pair solver (shared discount factor)."""
-    if game.measure1 is not Measure.DISC or game.measure2 is not Measure.DISC:
-        raise MeasureCombinationError("solve_lex_disc needs a discounted pair")
-    return solve_lex(game, which)
-
-
-def _normalize_aug(aug: AugSolve):
-    """Normalize the augmented view's weights to naturals."""
-    view = aug.view
-    weights = list(view.wa) + list(view.wb)
-    b_star = 1
-    for w in weights:
-        b_star = b_star * w.denominator // math.gcd(b_star, w.denominator)
-    smallest = min(int(w * b_star) for w in weights) if weights else 0
-    a_star = min(0, smallest)
-    info = NormalizationInfo(a_star, b_star, 0, 0)
-    wa = [info.to_natural(w) for w in view.wa]
-    wb = [info.to_natural(w) for w in view.wb]
-    info = NormalizationInfo(
-        a_star,
-        b_star,
-        max(int(w) for w in wa) if wa else 0,
-        max(int(w) for w in wb) if wb else 0,
-    )
-    gaug = LexView(view.arena, wa, wb, view.ma, view.mb, view.discount, view.names)
-    return gaug, info

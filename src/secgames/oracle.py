@@ -1,5 +1,6 @@
 """Brute-force ground truth: positional minimax, lasso enumeration, cycle
-decomposition, and the seeded test corpus generator.
+decomposition, Zwick-Paterson value iteration for mean-payoff games, and the
+seeded test corpus generator.
 
 The oracle never touches solver code paths; it enumerates positional
 strategies, materializes profile outcomes as lassos and evaluates them
@@ -15,9 +16,11 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil, floor
 
 from .errors import EnumerationCapError, InvalidLassoError
 from .game import Lasso, Measure, PayoffPair, WeightedGame, eval_lasso_payoff, lex_key
+from .zerosum import ScalarGame
 
 DEFAULT_CAP = 10**6
 
@@ -162,6 +165,70 @@ def cycle_decomposition(prefix, game: WeightedGame | None = None):
 def _canonical_rotation(cycle: tuple) -> tuple:
     rots = [cycle[i:] + cycle[:i] for i in range(len(cycle))]
     return min(rots)
+
+
+# ---------------------------------------------------------------------------
+# mean-payoff values by value iteration (independent of the energy route)
+
+
+def zp_value_iteration(game: ScalarGame, check_every: int = 64) -> list[Fraction]:
+    """Value iteration nu_{k+1}(v) = opt_e (w(e) + nu_k(v')) with rounding.
+
+    After k steps every true value lies in [nu_k(v)/k - 2nW/k, + 2nW/k];
+    iteration stops as soon as that interval isolates a unique rational with
+    denominator <= n (guaranteed by k = 4 n^3 W + 1).  Exponentially slower
+    than the energy route on scaled weights; kept as an independent oracle.
+    """
+    arena = game.arena
+    n = arena.n
+    wts = [int(w) for w in game.weights]
+    W = max((abs(w) for w in wts), default=0)
+    if W == 0:
+        return [Fraction(0)] * n
+    pmax = game.maximizer
+    kmax = 4 * n**3 * W + 1
+    nu = [0] * n
+    values: list[Fraction | None] = [None] * n
+    remaining = set(range(n))
+    k = 0
+    while k < kmax and remaining:
+        k += 1
+        new = [0] * n
+        for v in range(n):
+            best = None
+            if arena.owner[v] == pmax:
+                for e in arena.out_edges[v]:
+                    c = wts[e] + nu[arena.edge_tgt[e]]
+                    if best is None or c > best:
+                        best = c
+            else:
+                for e in arena.out_edges[v]:
+                    c = wts[e] + nu[arena.edge_tgt[e]]
+                    if best is None or c < best:
+                        best = c
+            new[v] = best
+        nu = new
+        if k % check_every == 0 or k == kmax:
+            bound = Fraction(2 * n * W, k)
+            for v in list(remaining):
+                centre = Fraction(nu[v], k)
+                found = []
+                for q in range(1, n + 1):
+                    p0 = ceil((centre - bound) * q)
+                    p1 = floor((centre + bound) * q)
+                    for p in range(p0, p1 + 1):
+                        f = Fraction(p, q)
+                        if abs(f - centre) <= bound:
+                            found.append(f)
+                    if len(set(found)) > 1:
+                        break
+                cand = sorted(set(found))
+                if len(cand) == 1:
+                    values[v] = cand[0]
+                    remaining.discard(v)
+    if remaining:
+        raise RuntimeError("value iteration failed to isolate a value")
+    return [v for v in values]  # type: ignore[list-item]
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,6 @@ Engines:
   * Zielonka recursion for parity games with a handful of priorities
   * exact mean-payoff values via threshold (energy) progress measures,
     with optimal strategies read off the finished measures
-  * reference Zwick-Paterson value iteration with sound early rounding,
-    kept as an independent cross-check of the energy route
   * exact policy iteration for discounted games
   * SCC-based emptiness for a conjunction of two Rabin pairs on graphs
 """
@@ -18,12 +16,6 @@ from fractions import Fraction
 from math import ceil, floor, gcd
 
 from .graphs import Arena, attractor, reachable_from, shortest_path, tarjan_sccs
-
-
-@dataclass
-class PriorityGame:
-    arena: Arena
-    priority: list[int]
 
 
 @dataclass
@@ -85,13 +77,6 @@ def solve_parity(arena: Arena, priority: list[int]):
         return win_oth, win_sig, strat_oth, strat
 
     return rec(set(range(arena.n)))
-
-
-def solve_parity3(game: PriorityGame):
-    """Restricted entry point for games with priorities in {0, 1, 2}."""
-    if any(p not in (0, 1, 2) for p in game.priority):
-        raise ValueError("solve_parity3 expects priorities in {0, 1, 2}")
-    return solve_parity(game.arena, game.priority)
 
 
 # ---------------------------------------------------------------------------
@@ -303,66 +288,6 @@ def solve_mean_payoff(game: ScalarGame, candidates: dict[int, list[Fraction]] | 
             if arena.owner[v] != pmax:
                 strategy_min[v] = strat2[v]
     return SolveResult1D(vals, strategy_max, strategy_min)
-
-
-def zp_value_iteration(game: ScalarGame, check_every: int = 64) -> list[Fraction]:
-    """Value iteration nu_{k+1}(v) = opt_e (w(e) + nu_k(v')) with rounding.
-
-    After k steps every true value lies in [nu_k(v)/k - 2nW/k, + 2nW/k];
-    iteration stops as soon as that interval isolates a unique rational with
-    denominator <= n (guaranteed by k = 4 n^3 W + 1).  Exponentially slower
-    than the energy route on scaled weights; kept as an independent oracle.
-    """
-    arena = game.arena
-    n = arena.n
-    wts = [int(w) for w in game.weights]
-    W = max((abs(w) for w in wts), default=0)
-    if W == 0:
-        return [Fraction(0)] * n
-    pmax = game.maximizer
-    kmax = 4 * n**3 * W + 1
-    nu = [0] * n
-    values: list[Fraction | None] = [None] * n
-    remaining = set(range(n))
-    k = 0
-    while k < kmax and remaining:
-        k += 1
-        new = [0] * n
-        for v in range(n):
-            best = None
-            if arena.owner[v] == pmax:
-                for e in arena.out_edges[v]:
-                    c = wts[e] + nu[arena.edge_tgt[e]]
-                    if best is None or c > best:
-                        best = c
-            else:
-                for e in arena.out_edges[v]:
-                    c = wts[e] + nu[arena.edge_tgt[e]]
-                    if best is None or c < best:
-                        best = c
-            new[v] = best
-        nu = new
-        if k % check_every == 0 or k == kmax:
-            bound = Fraction(2 * n * W, k)
-            for v in list(remaining):
-                centre = Fraction(nu[v], k)
-                found = []
-                for q in range(1, n + 1):
-                    p0 = ceil((centre - bound) * q)
-                    p1 = floor((centre + bound) * q)
-                    for p in range(p0, p1 + 1):
-                        f = Fraction(p, q)
-                        if abs(f - centre) <= bound:
-                            found.append(f)
-                    if len(set(found)) > 1:
-                        break
-                cand = sorted(set(found))
-                if len(cand) == 1:
-                    values[v] = cand[0]
-                    remaining.discard(v)
-    if remaining:
-        raise RuntimeError("value iteration failed to isolate a value")
-    return [v for v in values]  # type: ignore[list-item]
 
 
 # ---------------------------------------------------------------------------

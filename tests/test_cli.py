@@ -4,10 +4,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import secgames
 from secgames.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
+G1 = FIXTURES / "g1.game"
 
 
 def run_cli(args, capsys):
@@ -109,21 +112,53 @@ class TestDecisions:
         )
         assert code == 3
 
-    def test_jobs_flag_same_answer(self, capsys):
-        base = [
-            "constrained",
-            "--game",
-            FIXTURES / "g2.game",
-            "--init",
-            "v0",
-            "--mu",
-            "1,1",
-            "--nu",
-            "inf,inf",
-        ]
-        code1, out1 = run_cli(base, capsys)
-        code2, out2 = run_cli(["--jobs", "3"] + base, capsys)
-        assert (code1, out1) == (code2, out2)
+
+class TestInputErrors:
+    # PROFILE, NOT_UTF8 and TRUNCATED name files the test writes; MISSING is never written
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["constrained", "--game", G1, "--init", "v0", "--mu", "1", "--nu", "inf,inf"],
+            ["constrained", "--game", G1, "--init", "v0", "--mu", "x,0", "--nu", "inf,inf"],
+            ["constrained", "--game", G1, "--init", "nosuch", "--mu", "0,0", "--nu", "inf,inf"],
+            ["synth", "--game", G1, "--init", "nosuch"],
+            ["verify", "--game", G1, "--init", "nosuch", "--profile", "PROFILE"],
+            ["verify", "--game", G1, "--init", "v0", "--profile", "MISSING"],
+            ["verify", "--game", G1, "--init", "v0", "--profile", "TRUNCATED"],
+            ["values", "--game", "NOT_UTF8", "--player", "1"],
+        ],
+        ids=[
+            "mu-one-component",
+            "mu-not-rational",
+            "constrained-unknown-init",
+            "synth-unknown-init",
+            "verify-unknown-init",
+            "verify-missing-profile",
+            "verify-profile-without-next-line",
+            "game-not-utf8",
+        ],
+    )
+    def test_exit_two_with_error_line(self, args, tmp_path, capsys):
+        code, _ = run_cli(
+            ["synth", "--game", G1, "--init", "v0", "--out", tmp_path / "p"], capsys
+        )
+        assert code == 0
+        lines = (tmp_path / "p").read_text().splitlines()
+        files = {
+            "PROFILE": tmp_path / "p",
+            "NOT_UTF8": tmp_path / "latin1.game",
+            "MISSING": tmp_path / "missing.txt",
+            "TRUNCATED": tmp_path / "truncated.profile",
+        }
+        files["NOT_UTF8"].write_bytes(b"# caf\xe9\n" + G1.read_bytes())
+        files["TRUNCATED"].write_text(
+            "\n".join(x for x in lines if not x.startswith("machine 1 next s0 v0 "))
+        )
+        code = main([str(files.get(a, a)) for a in args])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
 
 
 class TestSynthVerify:

@@ -142,6 +142,35 @@ class TestProfiles:
             with pytest.raises(GameFormatError):
                 parse_profile(text, g1)
 
+    @pytest.mark.parametrize(
+        "mutate, line",
+        [
+            (lambda t: t.replace("machine 1 states", "machine x states"), 3),
+            (lambda t: t.replace("machine 1 states 4 init s0", "machine 1 states 3"), 3),
+            (lambda t: t.replace("machine 1 next s0 v0 s1\n", ""), 3),
+            (lambda t: t.replace("machine 1 next s0 v0 s1", "machine 1 next s0 v0 s4"), 4),
+            (lambda t: t.replace("machine 2 move s0 v2 v4\n", ""), None),
+        ],
+        ids=["machine-id", "short-states-line", "missing-next", "state-over-count", "missing-move"],
+    )
+    def test_broken_profile_positioned(self, g1, mutate, line):
+        profile, outcome, _ = synthesize_secure_eq(g1, "v0")
+        text = serialize_profile(profile, outcome)
+        broken = mutate(text)
+        assert broken != text
+        with pytest.raises(GameFormatError) as err:
+            parse_profile(broken, g1)
+        if line is not None:
+            assert err.value.diagnostics[0].line == line
+
+    def test_non_utf8_positioned(self, g1):
+        with pytest.raises(GameFormatError) as err:
+            parse_game(G1_TEXT.encode() + b"# caf\xe9\n")
+        d = err.value.diagnostics[0]
+        assert (d.line, d.column, d.code) == (G1_TEXT.count("\n") + 1, 6, "encoding")
+        with pytest.raises(GameFormatError):
+            parse_profile(b"outcome stem \xff\n", g1)
+
     def test_memory_bound_in_file(self, g1):
         profile, outcome, _ = synthesize_secure_eq(g1, "v0")
         text = serialize_profile(profile, outcome)

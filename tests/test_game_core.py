@@ -230,7 +230,7 @@ class TestNormalization:
                 lasso = _random_lasso(rng, g)
                 orig = eval_lasso_payoff(g, lasso)
                 norm = eval_lasso_payoff(gn, lasso)
-                back = denormalize_value(norm, info, measure)
+                back = denormalize_value(norm, info)
                 assert back == orig
                 for pair in gn.weights.values():
                     assert pair[0].denominator == 1 and pair[0] >= 0

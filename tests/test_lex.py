@@ -14,11 +14,6 @@ from secgames.lex import (
     inf_partition_dual,
     scalarization_constant,
     solve_lex,
-    solve_lex_disc,
-    solve_lex_inf,
-    solve_lex_liminf,
-    solve_lex_liminf_threshold,
-    solve_lex_mp,
 )
 from secgames.oracle import (
     corpus,
@@ -115,9 +110,10 @@ class TestLimInfLex:
         gn, _ = normalize_weights(gm)
         w1max = max(int(w) for w in gn.w1)
         w2max = max(int(w) for w in gn.w2)
-        for v in gm.vertices:
-            assert solve_lex_liminf_threshold(gm, v, pp(0, w2max), 1)
-            assert not solve_lex_liminf_threshold(gm, v, pp(w1max + 1, 0), 1)
+        threshold = lex._threshold_solver(lex.make_view(gn, 1))
+        for v in gn.vertices:
+            assert gn.index[v] in threshold((F(0), F(w2max)))[0]
+            assert gn.index[v] not in threshold((F(w1max + 1), F(0)))[0]
 
     def test_corpus_vs_oracle(self, small_corpus):
         for g in small_corpus:
@@ -180,12 +176,13 @@ class TestLimInfLex:
             oracle = oracle_lex_values(gn, 1)
             alphas = sorted({int(w) for w in gn.w1})
             betas = sorted({int(w) for w in gn.w2})
+            threshold = lex._threshold_solver(lex.make_view(gn, 1))
             for v in gn.vertices:
                 val = oracle.maxmin[v]
                 for a in alphas:
                     for b in betas:
                         want = lex_compare(pp(a, b), val, 1) <= 0
-                        got = solve_lex_liminf_threshold(gn, v, pp(a, b), 1)
+                        got = gn.index[v] in threshold((F(a), F(b)))[0]
                         assert got == want, (v, a, b, val)
 
 
@@ -492,18 +489,3 @@ class TestDualPartition:
                 w1, _w2, _ = inf_partition(gm, val)
                 t1, t2, _ = inf_partition_dual(gm, val)
                 assert v in w1 and v in t2
-
-
-class TestNamedEntryPoints:
-    def test_dispatchers_agree_and_validate(self, g1):
-        assert solve_lex_mp(g1, 1).values == solve_lex(g1, 1).values
-        gl = with_measure(g1, Measure.LIMINF)
-        assert solve_lex_liminf(gl, 2).values == solve_lex(gl, 2).values
-        gi = game_g3(Measure.INF)
-        assert solve_lex_inf(gi, 1).values == solve_lex(gi, 1).values
-        gd = game_g1(Measure.DISC, discount=F(1, 2))
-        assert solve_lex_disc(gd, 1).values == solve_lex(gd, 1).values
-        with pytest.raises(MeasureCombinationError):
-            solve_lex_mp(gl, 1)
-        with pytest.raises(MeasureCombinationError):
-            solve_lex_disc(g1, 1)

@@ -6,16 +6,14 @@ import pytest
 
 from secgames.game import Measure
 from secgames.graphs import Arena, attractor
+from secgames.oracle import zp_value_iteration
 from secgames.zerosum import (
-    PriorityGame,
     ScalarGame,
     check_discounted_fixpoint,
     solve_discounted,
     solve_mean_payoff,
     solve_parity,
-    solve_parity3,
     streett2_nonempty,
-    zp_value_iteration,
 )
 
 F = Fraction
@@ -162,11 +160,6 @@ class TestParity:
                 # priority has the right parity
                 for start in region:
                     _check_parity_strategy(a, priority, player, strat, region, start)
-
-    def test_solve_parity3_rejects_high_priorities(self):
-        a = Arena(1, [0], [(0, 0)])
-        with pytest.raises(ValueError):
-            solve_parity3(PriorityGame(a, [3]))
 
 
 def _check_parity_strategy(a, priority, player, strat, region, start):
