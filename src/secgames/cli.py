@@ -34,14 +34,24 @@ EXIT_CAP = 4
 EXIT_INTERNAL = 5
 
 
+def _io_error(exc: OSError) -> GameFormatError:
+    return GameFormatError([fmt.Diagnostic("syntax", 0, 0, "io", str(exc))])
+
+
 def _read(path: str) -> bytes:
     try:
         with open(path, "rb") as fh:
             return fh.read()
     except OSError as exc:
-        raise GameFormatError(
-            [fmt.Diagnostic("syntax", 0, 0, "io", str(exc))]
-        ) from exc
+        raise _io_error(exc) from exc
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _io_error(exc) from exc
 
 
 def _load_game(path: str):
@@ -62,8 +72,7 @@ def cmd_values(args) -> int:
     table = solve_lex(game, args.player)
     print(fmt.values_document(game, args.player, table))
     if args.dot:
-        with open(args.dot, "w") as fh:
-            fh.write(fmt.game_to_dot(game, table.values))
+        _write(args.dot, fmt.game_to_dot(game, table.values))
     return EXIT_TRUE
 
 
@@ -87,12 +96,9 @@ def cmd_synth(args) -> int:
     profile, outcome, payoff = synthesize_secure_eq(game, v0)
     print(fmt.synth_document(game, v0, outcome, payoff, profile))
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(fmt.serialize_profile(profile, outcome))
+        _write(args.out, fmt.serialize_profile(profile, outcome))
     if args.dot:
-        with open(args.dot, "w") as fh:
-            fh.write(fmt.mealy_to_dot(profile.strat1))
-            fh.write(fmt.mealy_to_dot(profile.strat2))
+        _write(args.dot, fmt.mealy_to_dot(profile.strat1) + fmt.mealy_to_dot(profile.strat2))
     return EXIT_TRUE
 
 
@@ -133,8 +139,7 @@ def cmd_validate(args) -> int:
     }
     print(json.dumps(doc, indent=2, sort_keys=True))
     if args.dot:
-        with open(args.dot, "w") as fh:
-            fh.write(fmt.game_to_dot(game))
+        _write(args.dot, fmt.game_to_dot(game))
     return EXIT_TRUE if not violations else EXIT_INVALID
 
 

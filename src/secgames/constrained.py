@@ -115,42 +115,22 @@ SUPPORTED = {
 
 
 def _annotated_graph(game: WeightedGame, v0: str) -> ValueAnnotatedGraph:
-    measure = game.measure1
-    if measure in (Measure.INF, Measure.SUP):
-        # move to the running-extremes arena where the measure pair becomes
-        # prefix-independent, so suffix payoffs equal total payoffs
-        t1 = solve_lex(game, 1, need_strategies=False)
-        t2 = solve_lex(game, 2, need_strategies=False)
-        aug1, aug2 = t1.aug, t2.aug
-        arena = aug1.view.arena
-        val1 = [PayoffPair(*aug1.values[i]) for i in range(arena.n)]
-        val2 = []
-        for v, e1, e2 in aug1.states:
-            j = aug2.state_index[(v, e2, e1)]
-            b, a = aug2.values[j]  # aug2 stores (own, other) = (comp2, comp1)
-            val2.append(PayoffPair(a, b))
-        tail_measure = Measure.LIMINF if measure is Measure.INF else Measure.LIMSUP
-        return ValueAnnotatedGraph(
-            arena,
-            list(aug1.view.wa),
-            list(aug1.view.wb),
-            val1,
-            val2,
-            aug1.start_of[game.index[v0]],
-            tail_measure,
-        )
     t1 = solve_lex(game, 1, need_strategies=False)
     t2 = solve_lex(game, 2, need_strategies=False)
-    arena = Arena(game.n, [0] * game.n, list(zip(game.edge_src, game.edge_tgt)))
-    return ValueAnnotatedGraph(
-        arena,
-        list(game.w1),
-        list(game.w2),
-        [t1.values[v] for v in game.vertices],
-        [t2.values[v] for v in game.vertices],
-        game.index[v0],
-        measure,
-    )
+    measure = game.measure1
+    if measure in (Measure.INF, Measure.SUP):
+        # both tables hold values on the same running-extremes arena, where
+        # the measure pair is prefix-independent, so suffix payoffs equal
+        # total payoffs
+        src, val1, val2 = t1.aug, t1.aug.values, t2.aug.values
+        start = t1.aug.start_of[game.index[v0]]
+        measure = Measure.LIMINF if measure is Measure.INF else Measure.LIMSUP
+    else:
+        src, start = game, game.index[v0]
+        val1 = [t1.values[v] for v in game.vertices]
+        val2 = [t2.values[v] for v in game.vertices]
+    arena = Arena(src.n, [0] * src.n, list(zip(src.edge_src, src.edge_tgt)))
+    return ValueAnnotatedGraph(arena, src.w1, src.w2, val1, val2, start, measure)
 
 
 def decide_constrained_existence(game: WeightedGame, v0: str, box: ThresholdBox) -> bool:

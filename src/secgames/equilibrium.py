@@ -6,9 +6,12 @@ punished forever with the opponent's optimal counter-strategy from the other
 lexicographic game.  Machines are Mealy automata whose on-track states
 remember the position along the outcome lasso.
 
-For min/max (inf/sup) measures everything runs on the augmented arena that
-tracks running extremes; machines then carry the extremes through their
-punish states so the augmented positional strategies stay playable.
+For min/max (inf/sup) measures both players solve one running-extremes
+arena (`lex.augment_view`); machines carry the extremes through their
+punish states so the arena's positional strategies stay playable.  The
+arena, the machines and the outcome check advance the extremes through one
+update, `lex.extremes_update`.  The two machines of a profile share their
+states and update table and differ only in their choices.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from .errors import InternalError, MeasureCombinationError
 from .game import (
     Lasso,
     Measure,
-    PayoffPair,
     WeightedGame,
     eval_lasso_payoff,
     lex_le,
@@ -28,6 +30,7 @@ from .game import (
 from .lex import (
     LexValueTable,
     augment_view,
+    extremes_update,
     make_view,
     solve_lex,
     _solve_lex_liminf_view,
@@ -93,59 +96,41 @@ def _lasso_positions(lasso: Lasso):
     return rho, succ
 
 
-def _track_machine(
-    game: WeightedGame,
-    player: int,
-    lasso: Lasso,
-    punish_choice,
-) -> MealyStrategy:
-    """Mealy machine: follow the lasso, else punish the deviator forever.
+def _track_machines(game: WeightedGame, lasso: Lasso, punish: dict[int, dict[str, str]]):
+    """Both players' Mealy machines: follow the lasso, else punish the
+    deviator forever.  The machines share their states and update table.
 
-    punish_choice(v) gives the punishment successor at vertex v.
+    punish[p] gives player p's punishment successor at each of its vertices.
     """
     rho, succ = _lasso_positions(lasso)
     n = len(rho)
     states = ["start"] + [f"track{l}" for l in range(n)] + ["punish"]
     START, PUNISH = 0, n + 1
     delta = {}
-    choose = {}
-
-    def expected(state):
-        return rho[0] if state == START else rho[succ(state - 1)]
-
+    choose: dict[int, dict] = {1: {}, 2: {}}
     for m in range(n + 2):
+        # lasso position the play is expected at, none once punishing
+        pos = None if m == PUNISH else 0 if m == START else succ(m - 1)
         for v in game.vertices:
-            if m == PUNISH:
-                delta[(m, v)] = PUNISH
-            elif v == expected(m):
-                delta[(m, v)] = 1 + (0 if m == START else succ(m - 1))
+            player = game.owner[v]
+            if pos is not None and v == rho[pos]:
+                delta[(m, v)] = 1 + pos
+                choose[player][(m, v)] = rho[succ(pos)]
             else:
                 delta[(m, v)] = PUNISH
-            if game.owner[v] == player:
-                if m != PUNISH and v == expected(m):
-                    pos = 0 if m == START else succ(m - 1)
-                    choose[(m, v)] = rho[succ(pos)]
-                else:
-                    choose[(m, v)] = punish_choice(v)
-    return MealyStrategy(player, states, START, delta, choose)
+                choose[player][(m, v)] = punish[player][v]
+    return tuple(MealyStrategy(p, states, START, delta, choose[p]) for p in (1, 2))
 
 
-def _aug_track_machine(
-    game: WeightedGame,
-    player: int,
-    aug_lasso_states: list[tuple],
-    wrap: int,
-    own_next,
-    punish_next,
-    step,
-) -> MealyStrategy:
-    """Machine over an extreme-tracking play: on-track states follow the
-    augmented lasso; punish states carry the current augmented vertex.
+def _aug_track_machines(game: WeightedGame, rho: list[tuple], wrap: int, punish_next, step):
+    """Both players' machines over an extreme-tracking play: on-track states
+    follow the lifted lasso rho (cycle from position `wrap`); punish states
+    carry the current running-extremes state.  The machines share their
+    states and update table.
 
-    own/punish_next map an augmented state to the successor vertex name;
-    step(aug_state, vertex) advances the extremes when reading `vertex`.
+    punish_next[p] maps a running-extremes state at a vertex of player p to
+    its punishment successor name; step(state, vertex) reads `vertex`.
     """
-    rho = aug_lasso_states
     n = len(rho)
 
     def succ(l):
@@ -159,46 +144,36 @@ def _aug_track_machine(
         if sem not in index:
             index[sem] = len(semantics)
             semantics.append(sem)
-            v, ea, eb = sem[1]
-            labels.append(f"punish|{v}|{ea}|{eb}")
+            v, e1, e2 = sem[1]
+            labels.append(f"punish|{game.vertices[v]}|{e1}|{e2}")
         return index[sem]
 
     delta = {}
-    choose = {}
+    choose: dict[int, dict] = {1: {}, 2: {}}
     qi = 0
     while qi < len(semantics):
         mi = qi
         qi += 1
         sem = semantics[mi]
-        for v in game.vertices:
+        for vi, v in enumerate(game.vertices):
             if sem[0] == "start":
-                base, expect_pos = (v, None, None), 0
+                base, expect_pos = (vi, None, None), 0
             elif sem[0] == "track":
                 base, expect_pos = rho[sem[1]], succ(sem[1])
             else:
                 base, expect_pos = sem[1], None
-            on_track = expect_pos is not None and v == rho[expect_pos][0]
-            if on_track:
-                nxt = ("track", expect_pos)
+            player = game.owner[v]
+            if expect_pos is not None and vi == rho[expect_pos][0]:
+                delta[(mi, v)] = intern(("track", expect_pos))
+                choose[player][(mi, v)] = game.vertices[rho[succ(expect_pos)][0]]
             else:
-                nxt = ("punish", step(base, v))
-            ni = intern(nxt)
-            delta[(mi, v)] = ni
-            if game.owner[v] == player:
-                if on_track:
-                    choose[(mi, v)] = own_next(rho[expect_pos])
-                else:
-                    choose[(mi, v)] = punish_next(semantics[ni][1])
-    return MealyStrategy(player, labels, 0, delta, choose)
+                ni = intern(("punish", step(base, v)))
+                delta[(mi, v)] = ni
+                choose[player][(mi, v)] = punish_next[player](semantics[ni][1])
+    return tuple(MealyStrategy(p, labels, 0, delta, choose[p]) for p in (1, 2))
 
 
 # ---------------------------------------------------------------------------
-
-
-def _uniform_choice_fn(strat: dict[str, str]):
-    def f(v):
-        return strat[v]
-    return f
 
 
 def _measure_route(game: WeightedGame) -> str:
@@ -251,8 +226,7 @@ def _synthesize_direct(game: WeightedGame, v0: str):
     choice.update(s2)
     outcome = _walk_names(game, choice, v0)
     payoff = eval_lasso_payoff(game, outcome)
-    m1 = _track_machine(game, 1, outcome, _uniform_choice_fn(punish1))
-    m2 = _track_machine(game, 2, outcome, _uniform_choice_fn(punish2))
+    m1, m2 = _track_machines(game, outcome, {1: punish1, 2: punish2})
     return StrategyProfile(m1, m2), outcome, payoff
 
 
@@ -268,64 +242,54 @@ def _walk_names(game: WeightedGame, choice: dict[str, str], v0: str) -> Lasso:
     return Lasso(tuple(path[:k]), tuple(path[k:])).canonical()
 
 
-def _aug_uniform_strategies(game: WeightedGame, which: int, starts: list[int]):
-    """Uniform strategies of the protagonist `which` and of its opponent on
-    the running-extremes arena, in game vertex/extreme keys.
+def _extremes_step(game: WeightedGame):
+    """step(state, v): the running-extremes state (vertex index, extreme 1,
+    extreme 2) after reading vertex name v; reading a vertex that is not a
+    successor keeps the extremes."""
+    advance = extremes_update(game)
 
-    The running-extremes arena is a liminf/limsup game, so both players'
-    uniform positional strategies come from one threshold bisection on it
-    (`lex._solve_lex_liminf_view`)."""
-    view = make_view(game, which)
-    aug = augment_view(view, starts)
-    _values, sp, sa = _solve_lex_liminf_view(aug.view, True)
-    arena = aug.view.arena
+    def step(state, v):
+        u, e1, e2 = state
+        w = game.weights.get((game.vertices[u], v))
+        if w is None:
+            return (game.index[v], e1, e2)
+        return (game.index[v], *advance(e1, e2, *w))
 
-    def key_of(state):
-        v, ea, eb = state
-        return (game.vertices[v], ea, eb) if which == 1 else (game.vertices[v], eb, ea)
-
-    def as_map(strat):
-        out = {}
-        for si, k in strat.items():
-            out[key_of(aug.states[si])] = game.vertices[aug.states[arena.edge_tgt[k]][0]]
-        return out
-
-    return as_map(sp), as_map(sa)
+    return step
 
 
 def _synthesize_augmented(game: WeightedGame, v0: str):
-    start = [game.index[v0]]
-    s1, punish2 = _aug_uniform_strategies(game, 1, start)
-    s2, punish1 = _aug_uniform_strategies(game, 2, start)
-    # game-coordinate extreme tracking shared by both machines
-    fam_min = game.measure1 in (Measure.INF, Measure.LIMINF)
-    comb = min if fam_min else max
-    track1 = game.measure1 in (Measure.INF, Measure.SUP)
-    track2 = game.measure2 in (Measure.INF, Measure.SUP)
+    # both players solve one running-extremes arena, a liminf/limsup game
+    # whose uniform positional strategies come from one threshold bisection
+    # per player (`lex._solve_lex_liminf_view`)
+    aug = augment_view(game, [game.index[v0]])
 
-    def step(state, v2):
-        v, e1, e2 = state
-        if not game.has_edge(v, v2):
-            return (v2, e1, e2)
-        w1, w2 = game.weights[(v, v2)]
-        n1 = (w1 if e1 is None else comb(e1, w1)) if track1 else None
-        n2 = (w2 if e2 is None else comb(e2, w2)) if track2 else None
-        return (v2, n1, n2)
+    def as_map(strat):
+        return {
+            aug.states[si]: game.vertices[aug.states[aug.edge_tgt[k]][0]]
+            for si, k in strat.items()
+        }
 
-    # outcome of the two protagonist strategies in the shared tracked space
-    cur = (v0, None, None)
+    strategies = {}
+    for which in (1, 2):
+        _values, sp, sa = _solve_lex_liminf_view(make_view(aug, which), True)
+        strategies[which] = (as_map(sp), as_map(sa))
+    (s1, punish2), (s2, punish1) = strategies[1], strategies[2]
+    step = _extremes_step(game)
+
+    # outcome of the two protagonist strategies
+    cur = (game.index[v0], None, None)
     seen = {}
     path = []
     while cur not in seen:
         seen[cur] = len(path)
         path.append(cur)
-        v = cur[0]
-        nxt = s1[cur] if game.owner[v] == 1 else s2[cur]
+        nxt = s1[cur] if game.owner_of[cur[0]] == 1 else s2[cur]
         cur = step(cur, nxt)
     wrap = seen[cur]
-    rho_states = path
     outcome = Lasso(
-        tuple(s[0] for s in path[:wrap]), tuple(s[0] for s in path[wrap:])
+        tuple(game.vertices[s[0]] for s in path[:wrap]),
+        tuple(game.vertices[s[0]] for s in path[wrap:]),
     ).canonical()
     payoff = eval_lasso_payoff(game, outcome)
 
@@ -333,15 +297,11 @@ def _synthesize_augmented(game: WeightedGame, v0: str):
         def f(state):
             if state in strat:
                 return strat[state]
-            v = state[0]
-            return game.vertices[game.edge_tgt[game.out_edges[game.index[v]][0]]]
+            return game.vertices[game.edge_tgt[game.out_edges[state[0]][0]]]
         return f
 
-    m1 = _aug_track_machine(
-        game, 1, rho_states, wrap, fallback(s1), fallback(punish1), step
-    )
-    m2 = _aug_track_machine(
-        game, 2, rho_states, wrap, fallback(s2), fallback(punish2), step
+    m1, m2 = _aug_track_machines(
+        game, path, wrap, {1: fallback(punish1), 2: fallback(punish2)}, step
     )
     return StrategyProfile(m1, m2), outcome, payoff
 
@@ -411,23 +371,20 @@ def check_secure_outcome(
     if t1.aug is None or t2.aug is None:
         raise InternalError("augmented check needs both augmented value tables")
     total = eval_lasso_payoff(game, lasso)
+    aug1, aug2 = t1.aug, t2.aug
     for state in _lift_states(game, lasso):
-        if not lex_le(_aug_value(t1, state, 1), total, 1):
+        if not lex_le(aug1.values[aug1.state_index[state]], total, 1):
             return False
-        if not lex_le(_aug_value(t2, state, 2), total, 2):
+        if not lex_le(aug2.values[aug2.state_index[state]], total, 2):
             return False
     return True
 
 
 def _lift_states(game: WeightedGame, lasso: Lasso):
-    """Extreme-annotated vertices (game component order) along the play,
-    walked until position and extremes turn periodic together."""
-    fam_min = game.measure1 in (Measure.INF, Measure.LIMINF)
-    comb = min if fam_min else max
-    track1 = game.measure1 in (Measure.INF, Measure.SUP)
-    track2 = game.measure2 in (Measure.INF, Measure.SUP)
-    rho = list(lasso.stem) + list(lasso.cycle)
-    wrap = len(lasso.stem)
+    """Running-extremes states along the play, walked until position and
+    extremes turn periodic together."""
+    step = _extremes_step(game)
+    rho, succ = _lasso_positions(lasso)
     states = []
     cur = (game.index[rho[0]], None, None)
     pos = 0
@@ -435,26 +392,9 @@ def _lift_states(game: WeightedGame, lasso: Lasso):
     while (pos, cur) not in seen:
         seen.add((pos, cur))
         states.append(cur)
-        nxt_pos = pos + 1 if pos + 1 < len(rho) else wrap
-        u, v2 = rho[pos], rho[nxt_pos]
-        w1, w2 = game.weights[(u, v2)]
-        _cv, e1, e2 = cur
-        n1 = (w1 if e1 is None else comb(e1, w1)) if track1 else None
-        n2 = (w2 if e2 is None else comb(e2, w2)) if track2 else None
-        cur = (game.index[v2], n1, n2)
-        pos = nxt_pos
+        pos = succ(pos)
+        cur = step(cur, rho[pos])
     return states
-
-
-def _aug_value(table: LexValueTable, state, which: int) -> PayoffPair:
-    """Value at an extreme-annotated vertex, read from the table's augmented
-    solve; `state` carries extremes in game component order."""
-    aug = table.aug
-    vidx, e1, e2 = state
-    key = (vidx, e1, e2) if which == 1 else (vidx, e2, e1)
-    idx = aug.state_index[key]
-    a, b = aug.values[idx]
-    return PayoffPair(a, b) if which == 1 else PayoffPair(b, a)
 
 
 def verify_profile_secure(game: WeightedGame, v0: str, profile: StrategyProfile) -> bool:

@@ -216,7 +216,9 @@ def parse_profile(text: str | bytes, game: WeightedGame):
     A machine's `states` line comes before its other lines.  Each machine
     needs a `next` line for every (state, vertex) pair and a `move` line for
     every pair at a vertex it owns, with state ids below its state count.
-    Anything else raises GameFormatError with positioned diagnostics.
+    The outcome lasso must be a play of the game: declared vertices, every
+    step an edge.  Anything else raises GameFormatError with positioned
+    diagnostics.
     """
     text = _decode(text)
     diags: list[Diagnostic] = []
@@ -241,9 +243,9 @@ def parse_profile(text: str | bytes, game: WeightedGame):
             continue
         parts = line.split()
         if parts[0] == "outcome" and len(parts) >= 2 and parts[1] == "stem":
-            stem = tuple(parts[2:])
+            stem, stem_line = tuple(parts[2:]), line_no
         elif parts[0] == "outcome" and len(parts) >= 3 and parts[1] == "cycle":
-            cycle = tuple(parts[2:])
+            cycle, cycle_line = tuple(parts[2:]), line_no
         elif parts[0] != "machine":
             error("syntax", line_no, "keyword", f"unknown line: {line}")
         elif len(parts) != 6 or parts[1] not in ("1", "2") or not (
@@ -272,6 +274,16 @@ def parse_profile(text: str | bytes, game: WeightedGame):
                 mach["choose"][(state_id(mach, state, line_no), vertex)] = target
     if cycle is None or stem is None:
         error("semantic", 1, "outcome", "missing outcome lasso")
+    else:
+        # (vertex, line) along the lasso, back to the cycle start
+        walk = [(v, stem_line) for v in stem] + [(v, cycle_line) for v in cycle]
+        unknown = [(v, at) for v, at in walk if v not in game.index]
+        for v, at in unknown:
+            error("semantic", at, "unknown-vertex", f"outcome vertex {v!r} is not declared")
+        if not unknown:
+            for (u, at), (v, _at) in zip(walk, walk[1:] + walk[len(stem) :][:1]):
+                if not game.has_edge(u, v):
+                    error("semantic", at, "not-an-edge", f"outcome step {u} -> {v} is not an edge")
     for i in (1, 2):
         mach = machines.get(i)
         if mach is None:
@@ -319,12 +331,8 @@ def values_document(game: WeightedGame, which: int, table) -> str:
         "uniform": table.uniform,
     }
     if table.strat_max is not None:
-        if table.uniform:
-            doc["strategy_max"] = table.strat_max
-            doc["strategy_min"] = table.strat_min
-        else:
-            doc["strategy_max"] = {v: table.strat_max[v] for v in table.strat_max}
-            doc["strategy_min"] = {v: table.strat_min[v] for v in table.strat_min}
+        doc["strategy_max"] = table.strat_max
+        doc["strategy_min"] = table.strat_min
     return json.dumps(doc, indent=2, sort_keys=True)
 
 

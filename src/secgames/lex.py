@@ -14,9 +14,12 @@ Per measure family:
     bisect the sorted list of candidate thresholds over groups of vertices;
     uniform strategies are stitched from the positional winning strategies
     of the threshold solves, per value class;
-  * inf/sup: reduce to liminf/limsup on an augmented arena tracking running
-    extremes; positional strategies come from a four-step attractor
-    partition computed per initial vertex;
+  * inf/sup: reduce to liminf/limsup on the running-extremes arena
+    (`augment_view`), built once in game coordinates and solved for either
+    player through `make_view`.  Positional strategies per initial vertex
+    come from a four-step attractor partition of the game (`_partition`);
+    a sup game is partitioned as the inf game of its mirror, with weights
+    negated and players swapped;
   * discounted: solve the primary component, keep only optimal edges, then
     solve the secondary component on the restricted arena with the
     protagonist minimizing.
@@ -62,7 +65,7 @@ class LexView:
         return PayoffPair(a, b) if which == 1 else PayoffPair(b, a)
 
 
-def make_view(game: WeightedGame, which: int) -> LexView:
+def make_view(game: WeightedGame | ExtremesArena, which: int) -> LexView:
     if which not in (1, 2):
         raise ValueError("which must be 1 or 2")
     owner = [0 if o == which else 1 for o in game.owner_of]
@@ -109,7 +112,7 @@ class LexValueTable:
     uniform: bool
     strat_max: dict | None
     strat_min: dict | None
-    aug: "AugSolve | None" = None
+    aug: ExtremesArena | None = None
 
     def value(self, v: str) -> PayoffPair:
         return self.values[v]
@@ -276,19 +279,42 @@ def _solve_lex_liminf_view(view: LexView, need_strategies: bool):
 
 
 # ---------------------------------------------------------------------------
-# augmentation for inf / sup (running extremes)
+# running-extremes arena for inf / sup
 
 
 @dataclass
-class AugSolve:
-    """Augmented arena solve kept alongside an inf/sup value table so that
-    play suffixes can be re-evaluated at augmented vertices."""
+class ExtremesArena:
+    """Running-extremes arena of an inf/sup game, in game coordinates.
 
-    view: LexView  # augmented view (liminf/limsup measures), in view coords
-    states: list[tuple]  # (orig vertex index, extreme_a, extreme_b)
-    state_index: dict
-    start_of: dict[int, int]  # orig vertex -> index of (v, TOP, TOP)
-    values: list[tuple[Fraction, Fraction]] | None = None
+    State i is (game vertex index, running extreme of component 1, running
+    extreme of component 2); an extreme is None before the first edge, and
+    always for a liminf/limsup component, which is not tracked.  An edge
+    carries the extremes it produces (the game weight for an untracked
+    component), so both measures become liminf (inf family) or limsup (sup
+    family).  The integer-indexed fields are those of a WeightedGame that
+    make_view reads: make_view(arena, which) is either player's game on it.
+    """
+
+    states: list[tuple]
+    state_index: dict[tuple, int]
+    start_of: dict[int, int]  # game vertex -> index of (v, None, None)
+    owner_of: list[int]
+    edge_src: list[int]
+    edge_tgt: list[int]
+    w1: list[Fraction]
+    w2: list[Fraction]
+    measure1: Measure
+    measure2: Measure
+    discount: Fraction | None = None
+    values: list[PayoffPair] | None = None  # set by solve_lex
+
+    @property
+    def n(self) -> int:
+        return len(self.states)
+
+    @property
+    def vertices(self) -> list[tuple]:
+        return self.states
 
 
 def _family(measure: Measure) -> str | None:
@@ -299,19 +325,33 @@ def _family(measure: Measure) -> str | None:
     return None
 
 
-def augment_view(view: LexView, starts: list[int]) -> AugSolve:
-    fam_a, fam_b = _family(view.ma), _family(view.mb)
-    if fam_a is None or fam_b is None or fam_a != fam_b:
+def extremes_update(game: WeightedGame):
+    """advance(e1, e2, w1, w2): the running extremes after an edge of
+    weights (w1, w2), in game component order.  An inf (sup) component keeps
+    its minimum (maximum); a liminf/limsup component stays None."""
+    fam = _family(game.measure1)
+    if fam is None or fam != _family(game.measure2):
         raise MeasureCombinationError(
-            f"unsupported measure pair for augmentation: ({view.ma}, {view.mb})"
+            f"unsupported measure pair for running extremes: ({game.measure1}, {game.measure2})"
         )
-    comb = min if fam_a == "min" else max
-    track_a = view.ma in (Measure.INF, Measure.SUP)
-    track_b = view.mb in (Measure.INF, Measure.SUP)
-    arena = view.arena
+    comb = min if fam == "min" else max
+    track1 = game.measure1 in (Measure.INF, Measure.SUP)
+    track2 = game.measure2 in (Measure.INF, Measure.SUP)
 
+    def advance(e1, e2, w1, w2):
+        n1 = (w1 if e1 is None else comb(e1, w1)) if track1 else None
+        n2 = (w2 if e2 is None else comb(e2, w2)) if track2 else None
+        return n1, n2
+
+    return advance
+
+
+def augment_view(game: WeightedGame, starts: list[int]) -> ExtremesArena:
+    """The running-extremes arena reachable from the game vertices `starts`,
+    states numbered in breadth-first order."""
+    advance = extremes_update(game)
     states: list[tuple] = []
-    index: dict = {}
+    index: dict[tuple, int] = {}
     start_of: dict[int, int] = {}
 
     def intern(s):
@@ -325,42 +365,31 @@ def augment_view(view: LexView, starts: list[int]) -> AugSolve:
         s = (v, None, None)
         if s not in index:
             frontier.append(intern(s))
-            start_of[v] = index[s]
-        else:
-            start_of[v] = index[s]
-    edges = []
-    ewa: list[Fraction] = []
-    ewb: list[Fraction] = []
+        start_of[v] = index[s]
+    src: list[int] = []
+    tgt: list[int] = []
+    ew1: list[Fraction] = []
+    ew2: list[Fraction] = []
     qi = 0
     while qi < len(frontier):
         si = frontier[qi]
         qi += 1
-        v, ea, eb = states[si]
-        for k in arena.out_edges[v]:
-            wa, wb = view.wa[k], view.wb[k]
-            na = (wa if ea is None else comb(ea, wa)) if track_a else None
-            nb = (wb if eb is None else comb(eb, wb)) if track_b else None
-            t = (arena.edge_tgt[k], na, nb)
+        v, e1, e2 = states[si]
+        for k in game.out_edges[v]:
+            w1, w2 = game.w1[k], game.w2[k]
+            n1, n2 = advance(e1, e2, w1, w2)
+            t = (game.edge_tgt[k], n1, n2)
             known = t in index
             ti = intern(t)
             if not known:
                 frontier.append(ti)
-            edges.append((si, ti))
-            ewa.append(na if track_a else wa)
-            ewb.append(nb if track_b else wb)
-    owner = [arena.owner[s[0]] for s in states]
-    aug_arena = Arena(len(states), owner, edges)
-    ma = Measure.LIMINF if fam_a == "min" else Measure.LIMSUP
-    aug_view = LexView(
-        aug_arena,
-        ewa,
-        ewb,
-        ma,
-        ma,
-        view.discount,
-        [f"{view.names[s[0]]}|{s[1]}|{s[2]}" for s in states],
-    )
-    return AugSolve(aug_view, states, index, start_of)
+            src.append(si)
+            tgt.append(ti)
+            ew1.append(w1 if n1 is None else n1)
+            ew2.append(w2 if n2 is None else n2)
+    owner = [game.owner_of[s[0]] for s in states]
+    measure = Measure.LIMINF if _family(game.measure1) == "min" else Measure.LIMSUP
+    return ExtremesArena(states, index, start_of, owner, src, tgt, ew1, ew2, measure, measure)
 
 
 # ---------------------------------------------------------------------------
@@ -385,11 +414,11 @@ def _lowest_edge_into(arena: Arena, v: int, allowed: set[int]) -> int | None:
     return None
 
 
-def _partition_inf(view: LexView, alpha: Fraction, beta: Fraction, strict_b: bool):
-    """Partition for min-payoff pairs: protagonist region of
-    "payoff >= (alpha, beta)" (or with the second component strict) plus
-    positional strategies for both sides."""
-    split = build_split(view)
+def _partition_inf(split: SplitArena, alpha: Fraction, beta: Fraction, strict_b: bool):
+    """Partition for min-payoff pairs on the split arena of an inf view:
+    protagonist region of "payoff >= (alpha, beta)" (or with the second
+    component strict), opponent region, and positional strategies (vertex ->
+    edge of the view) for both sides."""
     arena = split.arena
     full = set(range(arena.n))
     b_ok = (lambda a, b: b < beta) if strict_b else (lambda a, b: b <= beta)
@@ -407,6 +436,7 @@ def _partition_inf(view: LexView, alpha: Fraction, beta: Fraction, strict_b: boo
     prot_region = z2 | safe
     ant_region = z1 | z3
 
+    # split edge k leaves an original vertex along view edge k
     prot_strat: dict[int, int] = {}
     ant_strat: dict[int, int] = {}
     for v in range(split.n_orig):
@@ -434,99 +464,38 @@ def _partition_inf(view: LexView, alpha: Fraction, beta: Fraction, strict_b: boo
                 if k is None:
                     k = arena.out_edges[v][0]
                 ant_strat[v] = k
-    return prot_region, ant_region, prot_strat, ant_strat, split
+    return prot_region, ant_region, prot_strat, ant_strat
 
 
-def _partition_sup(view: LexView, alpha: Fraction, beta: Fraction, strict_b: bool):
-    """Mirror partition for max-payoff pairs."""
-    split = build_split(view)
-    arena = split.arena
-    full = set(range(arena.n))
-    b_bad = (lambda a, b: b >= beta) if strict_b else (lambda a, b: b > beta)
+def _partition(view: LexView):
+    """partition(alpha, beta, strict_b) of an inf or sup pair view: the
+    protagonist's region of "payoff >= (alpha, beta)" (second component
+    strict on request) and the opponent's region of its complement, both on
+    the split arena, then both players' positional strategies.
 
-    good1 = _split_sets(split, lambda a, b: a > alpha)
-    z1, z1s = attractor(arena, 0, good1)
-    bset = full - z1
-    tbad = {v for v in _split_sets(split, b_bad) if v in bset}
-    t2, t2s = attractor(arena, 1, tbad, allowed=bset)
-    cset = bset - t2
-    tgt = {v for v in _split_sets(split, lambda a, b: a >= alpha) if v in cset}
-    z2, z2s = attractor(arena, 0, tgt, allowed=cset)
-    dset = cset - z2
-
-    prot_region = z1 | z2
-    ant_region = t2 | dset
-
-    prot_strat: dict[int, int] = {}
-    ant_strat: dict[int, int] = {}
-    for v in range(split.n_orig):
-        if arena.owner[v] == 0:
-            if v in z1 and v in z1s:
-                prot_strat[v] = z1s[v]
-            elif v in z2 and v in z2s:
-                prot_strat[v] = z2s[v]
-            else:
-                k = None
-                if v in cset:
-                    k = _lowest_edge_into(arena, v, cset)
-                if k is None:
-                    k = arena.out_edges[v][0]
-                prot_strat[v] = k
-        else:
-            if v in t2 and v in t2s:
-                ant_strat[v] = t2s[v]
-            else:
-                k = None
-                if v in dset:
-                    k = _lowest_edge_into(arena, v, dset)
-                if k is None and v in bset:
-                    k = _lowest_edge_into(arena, v, bset)
-                if k is None:
-                    k = arena.out_edges[v][0]
-                ant_strat[v] = k
-    return prot_region, ant_region, prot_strat, ant_strat, split
-
-
-def _partition(view: LexView, alpha, beta, strict_b: bool):
+    A sup view is the inf view of its mirror (weights negated, players
+    swapped) at (-alpha, -beta) with the strictness flipped; the two players'
+    regions and strategies swap with it.  The split arena is built once."""
     if view.ma is Measure.INF:
-        return _partition_inf(view, alpha, beta, strict_b)
-    return _partition_sup(view, alpha, beta, strict_b)
+        split = build_split(view)
+        return lambda alpha, beta, strict_b: _partition_inf(split, alpha, beta, strict_b)
+    arena = view.arena
+    mirror = LexView(
+        Arena(arena.n, [1 - o for o in arena.owner], list(zip(arena.edge_src, arena.edge_tgt))),
+        [-w for w in view.wa],
+        [-w for w in view.wb],
+        Measure.INF,
+        Measure.INF,
+        view.discount,
+        view.names,
+    )
+    split = build_split(mirror)
 
+    def partition(alpha, beta, strict_b):
+        prot, ant, prot_strat, ant_strat = _partition_inf(split, -alpha, -beta, not strict_b)
+        return ant, prot, ant_strat, prot_strat
 
-def _split_strategy_to_names(view: LexView, split: SplitArena, strat: dict[int, int]) -> dict[str, str]:
-    out = {}
-    for v, k in strat.items():
-        tgt = split.arena.edge_tgt[k]
-        edge = split.edge_of(tgt)
-        out[view.names[v]] = view.names[view.arena.edge_tgt[edge]]
-    return out
-
-
-def inf_partition(game: WeightedGame, alpha_beta: PayoffPair, which: int = 1):
-    """Vertices where player `which` can force payoff >= (alpha, beta) in the
-    min-payoff (or max-payoff) lexicographic game, with a positional
-    strategy witnessing it.  Returns (W1, W2, strategy)."""
-    view = make_view(game, which)
-    if view.ma is not view.mb or view.ma not in (Measure.INF, Measure.SUP):
-        raise MeasureCombinationError("partition needs an inf or sup measure pair")
-    a, b = (alpha_beta.p1, alpha_beta.p2) if which == 1 else (alpha_beta.p2, alpha_beta.p1)
-    prot, ant, ps, _as, split = _partition(view, Fraction(a), Fraction(b), strict_b=False)
-    w1 = {view.names[v] for v in prot if split.is_orig(v)}
-    w2 = {view.names[v] for v in ant if split.is_orig(v)}
-    return w1, w2, _split_strategy_to_names(view, split, ps)
-
-
-def inf_partition_dual(game: WeightedGame, alpha_beta: PayoffPair, which: int = 1):
-    """Dual partition: T2 is where the opponent forces payoff <= (alpha,
-    beta); returns (T1, T2, opponent strategy)."""
-    view = make_view(game, which)
-    if view.ma is not view.mb or view.ma not in (Measure.INF, Measure.SUP):
-        raise MeasureCombinationError("partition needs an inf or sup measure pair")
-    a, b = (alpha_beta.p1, alpha_beta.p2) if which == 1 else (alpha_beta.p2, alpha_beta.p1)
-    prot, ant, _ps, ants, split = _partition(view, Fraction(a), Fraction(b), strict_b=True)
-    t1 = {view.names[v] for v in prot if split.is_orig(v)}
-    t2 = {view.names[v] for v in ant if split.is_orig(v)}
-    return t1, t2, _split_strategy_to_names(view, split, ants)
+    return partition
 
 
 # ---------------------------------------------------------------------------
@@ -690,31 +659,30 @@ def solve_lex(game: WeightedGame, which: int, need_strategies: bool = True) -> L
             table.strat_min = _edge_strategy_to_names(game, sa)
         return table
 
-    # inf/sup (possibly mixed with liminf/limsup of the same family):
-    # reduce to a liminf/limsup pair over running extremes
-    view = make_view(game, which)
-    aug = augment_view(view, list(range(game.n)))
-    aug.values, _sp, _sa = _solve_lex_liminf_view(aug.view, False)
-    values = {
-        game.vertices[v]: view.pair_to_game(which, *aug.values[aug.start_of[v]])
-        for v in range(game.n)
-    }
+    # inf/sup (possibly mixed with liminf/limsup of the same family): a
+    # liminf/limsup pair over the running extremes
+    aug = augment_view(game, list(range(game.n)))
+    aug_view = make_view(aug, which)
+    vals, _sp, _sa = _solve_lex_liminf_view(aug_view, False)
+    aug.values = [aug_view.pair_to_game(which, *pair) for pair in vals]
+    values = {game.vertices[v]: aug.values[aug.start_of[v]] for v in range(game.n)}
     pure = ma is mb and ma in (Measure.INF, Measure.SUP)
     table = LexValueTable(which, values, False, None, None, aug=aug)
     if need_strategies and pure:
+        partition = _partition(make_view(game, which))
         smax: dict[str, dict[str, str]] = {}
         smin: dict[str, dict[str, str]] = {}
         for v in range(game.n):
-            a, b = aug.values[aug.start_of[v]]
-            prot, ant, ps, _x, split = _partition(view, a, b, strict_b=False)
+            a, b = vals[aug.start_of[v]]
+            prot, _ant, ps, _x = partition(a, b, False)
             if v not in prot:
                 raise InternalError("vertex missing from its own value partition")
-            _t1, t2, _y, ants, split2 = _partition(view, a, b, strict_b=True)
+            _t1, t2, _y, ants = partition(a, b, True)
             if v not in t2:
                 raise InternalError("vertex missing from the dual partition")
             name = game.vertices[v]
-            smax[name] = _split_strategy_to_names(view, split, ps)
-            smin[name] = _split_strategy_to_names(view, split2, ants)
+            smax[name] = _edge_strategy_to_names(game, ps)
+            smin[name] = _edge_strategy_to_names(game, ants)
         table.strat_max = smax
         table.strat_min = smin
     return table

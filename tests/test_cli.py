@@ -114,7 +114,8 @@ class TestDecisions:
 
 
 class TestInputErrors:
-    # PROFILE, NOT_UTF8 and TRUNCATED name files the test writes; MISSING is never written
+    # PROFILE, NOT_UTF8 and TRUNCATED name files the test writes; MISSING is
+    # never written, and UNWRITABLE lies in a directory that does not exist
     @pytest.mark.parametrize(
         "args",
         [
@@ -126,6 +127,10 @@ class TestInputErrors:
             ["verify", "--game", G1, "--init", "v0", "--profile", "MISSING"],
             ["verify", "--game", G1, "--init", "v0", "--profile", "TRUNCATED"],
             ["values", "--game", "NOT_UTF8", "--player", "1"],
+            ["values", "--game", G1, "--player", "1", "--dot", "UNWRITABLE"],
+            ["synth", "--game", G1, "--init", "v0", "--out", "UNWRITABLE"],
+            ["synth", "--game", G1, "--init", "v0", "--dot", "UNWRITABLE"],
+            ["validate", "--game", G1, "--dot", "UNWRITABLE"],
         ],
         ids=[
             "mu-one-component",
@@ -136,6 +141,10 @@ class TestInputErrors:
             "verify-missing-profile",
             "verify-profile-without-next-line",
             "game-not-utf8",
+            "values-dot-unwritable",
+            "synth-out-unwritable",
+            "synth-dot-unwritable",
+            "validate-dot-unwritable",
         ],
     )
     def test_exit_two_with_error_line(self, args, tmp_path, capsys):
@@ -149,6 +158,7 @@ class TestInputErrors:
             "NOT_UTF8": tmp_path / "latin1.game",
             "MISSING": tmp_path / "missing.txt",
             "TRUNCATED": tmp_path / "truncated.profile",
+            "UNWRITABLE": tmp_path / "nosuch" / "out.txt",
         }
         files["NOT_UTF8"].write_bytes(b"# caf\xe9\n" + G1.read_bytes())
         files["TRUNCATED"].write_text(

@@ -213,14 +213,12 @@ def inf_constrained_oracle(game, v0, bx):
 
 
 def _inf_oracle_reach(game, v0, t1, t2, edges, verts, e1, e2, comb):
-    from secgames.equilibrium import _aug_value
-
     payoff = PayoffPair(e1, e2)
 
     def ok(state):
         try:
-            a = _aug_value(t1, state, 1)
-            b = _aug_value(t2, state, 2)
+            a = t1.aug.values[t1.aug.state_index[state]]
+            b = t2.aug.values[t2.aug.state_index[state]]
         except KeyError:
             return False
         return lex_le(a, payoff, 1) and lex_le(b, payoff, 2)

@@ -109,6 +109,9 @@ class TestSynthesisAcrossMeasures:
                 v0 = gm.vertices[0]
                 profile, outcome, payoff = synthesize_secure_eq(gm, v0)
                 assert eval_lasso_payoff(gm, outcome) == payoff
+                # one state set and update table serve both machines
+                assert profile.strat1.states is profile.strat2.states
+                assert profile.strat1.delta is profile.strat2.delta
                 t1 = solve_lex(gm, 1, need_strategies=False)
                 t2 = solve_lex(gm, 2, need_strategies=False)
                 assert check_secure_outcome(gm, v0, outcome, (t1, t2)), (

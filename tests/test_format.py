@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from secgames.equilibrium import synthesize_secure_eq
+from secgames.equilibrium import outcome_of_profile, synthesize_secure_eq
 from secgames.errors import GameFormatError
 from secgames.fixtures import game_g1
 from secgames.format import (
@@ -150,8 +152,18 @@ class TestProfiles:
             (lambda t: t.replace("machine 1 next s0 v0 s1\n", ""), 3),
             (lambda t: t.replace("machine 1 next s0 v0 s1", "machine 1 next s0 v0 s4"), 4),
             (lambda t: t.replace("machine 2 move s0 v2 v4\n", ""), None),
+            (lambda t: t.replace("outcome cycle v1", "outcome cycle nosuch"), 2),
+            (lambda t: t.replace("outcome cycle v1", "outcome cycle v1 v3"), 2),
         ],
-        ids=["machine-id", "short-states-line", "missing-next", "state-over-count", "missing-move"],
+        ids=[
+            "machine-id",
+            "short-states-line",
+            "missing-next",
+            "state-over-count",
+            "missing-move",
+            "unknown-outcome-vertex",
+            "outcome-step-not-an-edge",
+        ],
     )
     def test_broken_profile_positioned(self, g1, mutate, line):
         profile, outcome, _ = synthesize_secure_eq(g1, "v0")
@@ -177,6 +189,71 @@ class TestProfiles:
         back, _ = parse_profile(text, g1)
         assert back.strat1.state_count() <= g1.n + 2
         assert back.strat2.state_count() <= g1.n + 2
+
+
+# parser fuzzing: derandomized and without an example database, so every run
+# draws the same inputs and leaves no files behind
+FUZZ = settings(max_examples=150, derandomize=True, database=None, deadline=None)
+TOKEN = st.one_of(
+    st.sampled_from(
+        "measure vertex edge init discount outcome stem cycle machine states next "
+        "move 0 1 2 3 -1 1/0 1/2 s0 s3 s99 s-1 v0 v1 v2 v3 v4 nosuch disc "
+        "mpinf inf # \u0663 \xe9".split(" ")
+    ),
+    st.text(max_size=4),
+)
+
+
+@st.composite
+def mutated_lines(draw, text):
+    """`text` after one to four line-level edits: delete, duplicate or swap
+    lines, replace a token, or insert a line of tokens."""
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(("delete", "duplicate", "swap", "token", "insert")))
+        if not lines or op == "insert":
+            line = " ".join(draw(st.lists(TOKEN, max_size=6)))
+            lines.insert(draw(st.integers(0, len(lines))), line)
+            continue
+        i = draw(st.integers(0, len(lines) - 1))
+        if op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            parts = lines[i].split(" ")
+            parts[draw(st.integers(0, len(parts) - 1))] = draw(TOKEN)
+            lines[i] = " ".join(parts)
+    return "\n".join(lines) + "\n"
+
+
+G1_PROFILE = serialize_profile(*synthesize_secure_eq(game_g1(), "v0")[:2])
+
+
+class TestParserFuzz:
+    """The parsers are total: a document parses or raises GameFormatError."""
+
+    @FUZZ
+    @given(st.binary(max_size=300))
+    def test_game_from_bytes(self, data):
+        try:
+            parse_game(data)
+        except GameFormatError:
+            pass
+
+    @FUZZ
+    @given(mutated_lines(G1_PROFILE))
+    def test_profile_from_mutated_lines(self, text):
+        g1 = game_g1()
+        try:
+            profile, _outcome = parse_profile(text.encode(), g1)
+        except GameFormatError:
+            return
+        # an accepted profile can be played
+        outcome_of_profile(g1, "v0", profile)
 
 
 class TestDot:

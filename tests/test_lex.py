@@ -9,12 +9,7 @@ from secgames import lex
 from secgames.errors import InternalError, MeasureCombinationError
 from secgames.fixtures import game_g1, game_g3
 from secgames.game import Measure, PayoffPair, lex_compare, lex_key, normalize_weights
-from secgames.lex import (
-    inf_partition,
-    inf_partition_dual,
-    scalarization_constant,
-    solve_lex,
-)
+from secgames.lex import scalarization_constant, solve_lex
 from secgames.oracle import (
     corpus,
     enumerate_positional,
@@ -220,17 +215,18 @@ class TestInfSupLex:
 
     def test_partitions_g3(self):
         g = game_g3(Measure.INF)
-        w1, w2, strat = inf_partition(g, pp(2, 0))
-        assert w1 == {"v0", "v2", "v3", "v4"}
-        w1b, w2b, _ = inf_partition(g, pp(3, 1))
-        assert w1b == {"v4"}
+        partition = lex._partition(lex.make_view(g, 1))
+        w1, _w2, _ps, _as = partition(F(2), F(0), False)
+        assert _names(g, w1) == {"v0", "v2", "v3", "v4"}
+        w1b, _w2b, _ps, _as = partition(F(3), F(1), False)
+        assert _names(g, w1b) == {"v4"}
 
     def test_partition_weakest_demand(self, small_corpus):
         for g in small_corpus[:10]:
             gm = with_measure(g, Measure.INF)
             w2max = max(w[1] for w in gm.weights.values())
-            w1, w2, _ = inf_partition(gm, PayoffPair(F(0), w2max))
-            assert w1 == set(gm.vertices)
+            w1, _w2, _ps, _as = lex._partition(lex.make_view(gm, 1))(F(0), w2max, False)
+            assert _names(gm, w1) == set(gm.vertices)
 
     def test_corpus_vs_oracle(self, small_corpus):
         for g in small_corpus:
@@ -286,23 +282,20 @@ def _seeded_game(seed, n, w, measure):
 
 
 def _aug_as_game(aug):
-    """Materialize an augmented view as a WeightedGame (view coords)."""
+    """Materialize a running-extremes arena (game coordinates) as a
+    WeightedGame; a state has one edge per game edge, so none are parallel."""
     from secgames.game import WeightedGame
 
-    arena = aug.view.arena
-    names = [f"s{i}" for i in range(arena.n)]
-    owners = {names[i]: 1 if arena.owner[i] == 0 else 2 for i in range(arena.n)}
-    edges = []
-    weights = {}
-    seen = set()
-    for k in range(arena.m):
-        e = (names[arena.edge_src[k]], names[arena.edge_tgt[k]])
-        if e in seen:
-            continue  # parallel augmented edges carry identical weights
-        seen.add(e)
-        edges.append(e)
-        weights[e] = (aug.view.wa[k], aug.view.wb[k])
-    return WeightedGame(names, owners, edges, weights, aug.view.ma, aug.view.mb)
+    names = [f"s{i}" for i in range(aug.n)]
+    owners = {names[i]: aug.owner_of[i] for i in range(aug.n)}
+    edges = [(names[u], names[t]) for u, t in zip(aug.edge_src, aug.edge_tgt)]
+    weights = {e: (a, b) for e, a, b in zip(edges, aug.w1, aug.w2)}
+    return WeightedGame(names, owners, edges, weights, aug.measure1, aug.measure2)
+
+
+def _names(game, region):
+    """Game vertex names in a region of the split arena."""
+    return {game.vertices[v] for v in region if v < game.n}
 
 
 def _edge_index(game, u, v):
@@ -472,20 +465,20 @@ class TestMpFirstComponent:
 class TestDualPartition:
     def test_g3_dual_regions_and_strategy(self):
         g = game_g3(Measure.INF)
-        t1, t2, strat2 = inf_partition_dual(g, pp(2, 0))
+        t1, t2, _ps, strat2 = lex._partition(lex.make_view(g, 1))(F(2), F(0), True)
         # player 2 can cap the payoff at (2,0) everywhere except v4
-        assert t2 == {"v0", "v2", "v3"}
-        assert t1 == {"v4"}
-        idx = {g.index[x]: _edge_index(g, x, strat2[x]) for x in strat2}
-        worst = _oracle_counter_guarantee(g, 1, idx, "v0")
+        assert _names(g, t2) == {"v0", "v2", "v3"}
+        assert _names(g, t1) == {"v4"}
+        worst = _oracle_counter_guarantee(g, 1, strat2, "v0")
         assert lex_compare(worst, pp(2, 0), 1) <= 0
 
     def test_dual_matches_values_on_corpus(self, small_corpus):
         for g in small_corpus[:10]:
             gm = with_measure(g, Measure.INF)
             table = solve_lex(gm, 1, need_strategies=False)
+            partition = lex._partition(lex.make_view(gm, 1))
             for v in gm.vertices:
                 val = table.values[v]
-                w1, _w2, _ = inf_partition(gm, val)
-                t1, t2, _ = inf_partition_dual(gm, val)
-                assert v in w1 and v in t2
+                w1, _w2, _ps, _as = partition(val.p1, val.p2, False)
+                _t1, t2, _ps, _as = partition(val.p1, val.p2, True)
+                assert v in _names(gm, w1) and v in _names(gm, t2)
