@@ -263,30 +263,23 @@ def _scc_two_flow_feasible(arena, edges, w1, w2, b1: Bounds, b2: Bounds, sup: bo
     sys = LinearSystem(names)
 
     zero = [F(0)] * (2 * ne)
-    # nonnegativity
-    for j in range(2 * ne):
-        r = list(zero)
-        r[j] = F(1)
-        sys.add_nonstrict(r, F(0))
-    # normalization sum = 1 for both flows
+    # x and y are nonnegative as LP variables; each flow sums to 1
     for off in (0, ne):
         r = list(zero)
-        for j in range(ne):
-            r[off + j] = F(1)
-        sys.add_nonstrict(r, F(1))
-        sys.add_nonstrict([-c for c in r], F(-1))
-    # conservation per vertex for both flows
+        r[off : off + ne] = [F(1)] * ne
+        sys.add_equal(r, F(1))
+    # conservation per vertex for both flows; the rows of one flow sum to
+    # zero, so the last vertex's row follows from the others and is left out
     verts = sorted({arena.edge_src[k] for k in edges} | {arena.edge_tgt[k] for k in edges})
     for off in (0, ne):
-        for v in verts:
+        for v in verts[:-1]:
             r = list(zero)
             for j, k in enumerate(edges):
                 if arena.edge_src[k] == v:
                     r[off + j] += 1
                 if arena.edge_tgt[k] == v:
                     r[off + j] -= 1
-            sys.add_nonstrict(r, F(0))
-            sys.add_nonstrict([-c for c in r], F(0))
+            sys.add_equal(r, F(0))
 
     def weight_row(off, wts):
         r = list(zero)

@@ -1,15 +1,28 @@
-"""Exact linear feasibility with strict inequalities.
+"""Exact linear feasibility with strict inequalities, in standard form.
 
-Strict rows a.x > b are relaxed to a.x - y >= b for a fresh variable y; the
-system is feasible iff the maximum of y (capped at 1) is strictly positive.
-The maximization runs on a dense two-phase simplex over Fractions with
-Bland's rule, so it terminates and is deterministic.
+Variables are nonnegative.  A system's rows are a.x > b (strict),
+a.x >= b (nonstrict) and a.x = b (equal).  `lp_feasible` brings the system
+into standard form: every inequality row gets its own slack, a.x - s = b,
+and the strict rows also share one variable t, a.x - s - t = b.  With the
+cap t <= 1 the maximum of t is finite, and the system is feasible iff that
+maximum is strictly positive.
+
+`simplex_max` maximizes c.z subject to A z = b, z >= 0 by a two-phase
+simplex with Bland's rule (lowest index enters, lowest basic index leaves
+among tied ratios), so it terminates and is deterministic.  Phase 1 starts
+from one artificial variable per row; a row whose artificial stays basic at
+zero with no other nonzero entry is implied by the other rows and dropped.
+The arithmetic is fraction-free: every row is scaled to integers once, and
+one integer tableau, the objective rows included, is pivoted with the exact
+update (p*x - f*y) // d, where p is the pivot and d the previous one.  The
+true tableau is the integer one divided by d, which is kept positive.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import InternalError
 
@@ -18,11 +31,13 @@ F = Fraction
 
 @dataclass
 class LinearSystem:
-    """Rows mean a.x > b (strict) and a.x >= b (nonstrict); x is free."""
+    """Rows mean a.x > b (strict), a.x >= b (nonstrict) and a.x = b (equal);
+    every variable is nonnegative."""
 
     variables: list[str]
     strict_rows: list[tuple[list[Fraction], Fraction]] = field(default_factory=list)
     nonstrict_rows: list[tuple[list[Fraction], Fraction]] = field(default_factory=list)
+    equal_rows: list[tuple[list[Fraction], Fraction]] = field(default_factory=list)
 
     def add_strict(self, coeffs, bound):
         self.strict_rows.append(([F(c) for c in coeffs], F(bound)))
@@ -30,178 +45,141 @@ class LinearSystem:
     def add_nonstrict(self, coeffs, bound):
         self.nonstrict_rows.append(([F(c) for c in coeffs], F(bound)))
 
+    def add_equal(self, coeffs, bound):
+        self.equal_rows.append(([F(c) for c in coeffs], F(bound)))
+
+
+def _integral(values):
+    """(ints, scale) with ints[j] == values[j] * scale, the ints coprime;
+    values are ints or Fractions."""
+    den = lcm(*(v.denominator for v in values))
+    ints = [v.numerator * (den // v.denominator) for v in values]
+    g = gcd(*ints)
+    if g > 1:
+        return [v // g for v in ints], F(den, g)
+    return ints, F(den)
+
 
 def simplex_max(A, b, c):
-    """max c.z subject to A z <= b, z >= 0, exact rationals.
+    """max c.z subject to A z = b, z >= 0, exact rationals.
 
     Returns (status, value, point) with status in {"optimal", "unbounded",
-    "infeasible"}.  Dictionary form with Bland's rule (lowest index enters
-    and leaves), classic auxiliary-variable phase 1.
+    "infeasible"}; value and point are Fractions, None unless optimal.
     """
-    m = len(A)
     n = len(c)
-    # dictionary: basic[i] gives the variable of row i; columns are
-    # [nonbasic coeffs | rhs] with x_B = rhs - sum(coef * nonbasic)
-    # variable ids: 0..n-1 structural, n..n+m-1 slack, n+m auxiliary
-    aux = n + m
-    nonbasic = list(range(n)) + [aux]
-    basic = list(range(n, n + m))
-    rows = []
-    for i in range(m):
-        coef = [F(A[i][j]) for j in range(n)] + [F(-1)]
-        rows.append((coef, F(b[i])))
+    # tableau rows: the constraint rows, then the phase 2 and the phase 1
+    # objective rows.  Columns are z_0..z_{n-1} and the right-hand side; the
+    # artificial columns are not stored, since an artificial never re-enters.
+    # An objective row reads value + sum(row[j] z_j) = row[n].
+    tab = []
+    for coeffs, rhs in zip(A, b):
+        row, _ = _integral([*coeffs, rhs])
+        tab.append([-v for v in row] if row[n] < 0 else row)
+    cost, cost_scale = _integral(c)
+    tab.append([-v for v in cost] + [0])
+    tab.append([-sum(row[j] for row in tab[:-1]) for j in range(n + 1)])
+    # basic[i] is the variable of row i; n + i is row i's artificial
+    basic = list(range(n, n + len(tab) - 2))
+    d = 1
 
-    def pivot(r, col):
-        # row r:  x_leave = rhs - sum coef[j] * x_nonbasic[j]; solve for the
-        # entering variable sitting at `col` and substitute everywhere
-        coef, rhs = rows[r]
-        p = coef[col]
-        new_coef = [cj / p for cj in coef]
-        new_coef[col] = F(1) / p
-        new_rhs = rhs / p
-        enter, leave = nonbasic[col], basic[r]
-        nonbasic[col] = leave
-        basic[r] = enter
-        rows[r] = (new_coef, new_rhs)
-        for i in range(m):
+    def pivot(r, s):
+        nonlocal d
+        prow = tab[r]
+        p = prow[s]
+        for i, row in enumerate(tab):
             if i == r:
                 continue
-            ci, ri = rows[i]
-            f = ci[col]
-            if f == 0:
-                continue
-            upd = [ci[j] - f * new_coef[j] for j in range(len(ci))]
-            upd[col] = -f * new_coef[col]
-            rows[i] = (upd, ri - f * new_rhs)
+            f = row[s]
+            if f:
+                tab[i] = [(p * x - f * y) // d for x, y in zip(row, prow)]
+            elif p != d:
+                tab[i] = [p * x // d for x in row]
+        d = p
+        if d < 0:
+            for i, row in enumerate(tab):
+                tab[i] = [-x for x in row]
+            d = -d
+        basic[r] = s
 
-    def objective_row(cvec):
-        # express objective over nonbasic variables given current dictionary
-        obj = [F(0)] * len(nonbasic)
-        const = F(0)
-        for j, var in enumerate(nonbasic):
-            if var < len(cvec):
-                obj[j] += cvec[var]
-        for i in range(m):
-            var = basic[i]
-            if var < len(cvec) and cvec[var] != 0:
-                coef, rhs = rows[i]
-                const += cvec[var] * rhs
-                for j in range(len(obj)):
-                    obj[j] -= cvec[var] * coef[j]
-        return obj, const
-
-    def bland_optimize(cvec):
+    def optimize():
+        # Bland's rule on the last tableau row; False when unbounded
         while True:
-            obj, const = objective_row(cvec)
-            enter_j = None
-            for j in sorted(range(len(nonbasic)), key=lambda j: nonbasic[j]):
-                if nonbasic[j] == aux:
-                    continue  # the auxiliary variable must stay at zero
-                if obj[j] > 0:
-                    enter_j = j
-                    break
-            if enter_j is None:
-                return "optimal", const
-            ratio = None
-            leave_r = None
-            for i in range(m):
-                coef, rhs = rows[i]
-                if coef[enter_j] > 0:
-                    r = rhs / coef[enter_j]
-                    if ratio is None or r < ratio or (
-                        r == ratio and basic[i] < basic[leave_r]
-                    ):
-                        ratio = r
-                        leave_r = i
-            if leave_r is None:
-                return "unbounded", None
-            pivot(leave_r, enter_j)
+            s = next((j for j in range(n) if tab[-1][j] < 0), None)
+            if s is None:
+                return True
+            best = None
+            for i in range(len(basic)):
+                a = tab[i][s]
+                if a > 0:
+                    if best is None:
+                        best = i
+                        continue
+                    lhs, rhs = tab[i][n] * tab[best][s], tab[best][n] * a
+                    if lhs < rhs or (lhs == rhs and basic[i] < basic[best]):
+                        best = i
+            if best is None:
+                return False
+            pivot(best, s)
 
-    # phase 1 if any rhs negative: bring in the auxiliary variable
-    if any(rows[i][1] < 0 for i in range(m)):
-        worst = min(range(m), key=lambda i: rows[i][1])
-        aux_col = nonbasic.index(aux)
-        pivot(worst, aux_col)
-        caux = [F(0)] * (n + m + 1)
-        caux[aux] = F(-1)
-        status, val = bland_optimize(caux)
-        if status != "optimal":
-            raise InternalError("phase 1 objective is bounded above by 0 yet not optimal")
-        if val < 0:
-            return "infeasible", None, None
-        if aux in basic:
-            # degenerate optimum: pivot the auxiliary variable out if its
-            # row allows it (otherwise it sits harmlessly at zero)
-            r = basic.index(aux)
-            coef, _rhs = rows[r]
-            for j in range(len(nonbasic)):
-                if coef[j] != 0 and nonbasic[j] != aux:
-                    pivot(r, j)
-                    break
-        if aux in nonbasic:
-            # drop the auxiliary column entirely
-            j = nonbasic.index(aux)
-            nonbasic.pop(j)
-            for i in range(m):
-                coef, rhs = rows[i]
-                coef.pop(j)
-                rows[i] = (coef, rhs)
-    cfull = [F(c[j]) for j in range(n)] + [F(0)] * (m + 1)
-    status, val = bland_optimize(cfull)
-    if status == "unbounded":
+    if not optimize():
+        raise InternalError("the phase 1 objective is bounded above by 0")
+    if tab[-1][n] < 0:
+        return "infeasible", None, None
+    tab.pop()
+    redundant = []
+    for i in range(len(basic)):
+        if basic[i] >= n:
+            # the artificial sits at zero: swap in any structural column
+            s = next((j for j in range(n) if tab[i][j]), None)
+            if s is None:
+                redundant.append(i)
+            else:
+                pivot(i, s)
+    for i in reversed(redundant):
+        del tab[i], basic[i]
+    if not optimize():
         return "unbounded", None, None
     point = [F(0)] * n
-    for i in range(m):
-        if basic[i] < n:
-            point[basic[i]] = rows[i][1]
-    return "optimal", val, point
+    for i, j in enumerate(basic):
+        point[j] = F(tab[i][n], d)
+    return "optimal", F(tab[-1][n], d) / cost_scale, point
 
 
 def lp_feasible(system: LinearSystem):
-    """Decide a.x > b / a.x >= b systems exactly.
+    """Decide a system exactly.
 
     Returns (feasible, witness) with the witness a list of Fractions for the
-    declared variables.
+    declared variables, or (False, None).
     """
     k = len(system.variables)
-    # z layout: x+ (k), x- (k), y+ , y-
-    n = 2 * k + 2
+    ineq = [(coeffs, bound, True) for coeffs, bound in system.strict_rows]
+    ineq += [(coeffs, bound, False) for coeffs, bound in system.nonstrict_rows]
+    # z layout: x (k), one slack per inequality row, t, the cap's slack
+    t = k + len(ineq)
+    n = t + 2
     A = []
     b = []
-
-    def le_row(coeffs, bound, with_y):
-        # sum coeffs.x (+ y) <= bound
-        row = [F(0)] * n
-        for j, c in enumerate(coeffs):
-            row[j] = F(c)
-            row[k + j] = -F(c)
-        if with_y:
-            row[2 * k] = F(1)
-            row[2 * k + 1] = F(-1)
+    for i, (coeffs, bound, strict) in enumerate(ineq):
+        row = coeffs + [0] * (n - k)
+        row[k + i] = -1
+        if strict:
+            row[t] = -1
         A.append(row)
-        b.append(F(bound))
-
-    for coeffs, bound in system.strict_rows:
-        # a.x - y >= b  ->  -a.x + y <= -b
-        le_row([-c for c in coeffs], -bound, with_y=True)
-    for coeffs, bound in system.nonstrict_rows:
-        le_row([-c for c in coeffs], -bound, with_y=False)
-    # cap y <= 1
-    row = [F(0)] * n
-    row[2 * k] = F(1)
-    row[2 * k + 1] = F(-1)
-    A.append(row)
-    b.append(F(1))
-
-    c = [F(0)] * n
-    c[2 * k] = F(1)
-    c[2 * k + 1] = F(-1)
+        b.append(bound)
+    for coeffs, bound in system.equal_rows:
+        A.append(coeffs + [0] * (n - k))
+        b.append(bound)
+    cap = [0] * n
+    cap[t] = cap[t + 1] = 1
+    A.append(cap)
+    b.append(1)
+    c = [0] * n
+    c[t] = 1
     status, val, point = simplex_max(A, b, c)
     if status == "infeasible":
         return False, None
     if status != "optimal":
-        raise InternalError("the y <= 1 cap precludes unboundedness")
+        raise InternalError("the t <= 1 cap precludes unboundedness")
     if val <= 0:
         return False, None
-    witness = [point[j] - point[k + j] for j in range(k)]
-    return True, witness
+    return True, point[:k]

@@ -425,7 +425,6 @@ def streett2_nonempty(
     a2, b2 = pair2
     avoid = a1 | a2
     reach = reachable_from(arena, [source])
-    allowed = {v for v in reach if v not in avoid} | ({source} - avoid)
     core = {v for v in reach if v not in avoid}
     for scc in tarjan_sccs(arena, allowed=core):
         sset = set(scc)

@@ -263,12 +263,16 @@ def test_criterion_7_strict_lp_suite():
     ok = True
 
     def run(strict, nonstrict, nvars):
-        sys_ = LinearSystem([f"x{i}" for i in range(nvars)])
+        # LP variables are nonnegative: split each free x_i into x_i+ - x_i-
+        sys_ = LinearSystem([f"x{i}{sign}" for sign in "+-" for i in range(nvars)])
         for c, b in strict:
-            sys_.add_strict(c, b)
+            sys_.add_strict(list(c) + [-a for a in c], b)
         for c, b in nonstrict:
-            sys_.add_nonstrict(c, b)
-        return lp_feasible(sys_)
+            sys_.add_nonstrict(list(c) + [-a for a in c], b)
+        feas, wit = lp_feasible(sys_)
+        if not feas:
+            return feas, wit
+        return feas, [wit[i] - wit[nvars + i] for i in range(nvars)]
 
     feas, wit = run([([1], 0)], [([1], 1)], 1)
     ok = ok and feas and wit[0] > 0 and wit[0] >= 1

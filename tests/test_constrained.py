@@ -97,6 +97,46 @@ class TestPathInBoxMp:
         assert not ok
 
 
+class TestTwoFlowLpSize:
+    def test_rows_within_bound(self, g2, small_corpus, monkeypatch):
+        # normalization 2, conservation 2(|V|-1), bound rows <= 4, coupling 2,
+        # cap 1: no nonnegativity rows and no equality written twice
+        from secgames import constrained, lp
+
+        real_flow, real_simplex = constrained._scc_two_flow_feasible, lp.simplex_max
+        calls = []
+
+        def flow(arena, edges, *rest):
+            verts = {arena.edge_src[k] for k in edges} | {arena.edge_tgt[k] for k in edges}
+            calls.append([len(verts), None])
+            return real_flow(arena, edges, *rest)
+
+        def simplex(A, b, c):
+            calls[-1][1] = len(A)
+            return real_simplex(A, b, c)
+
+        monkeypatch.setattr(constrained, "_scc_two_flow_feasible", flow)
+        monkeypatch.setattr(lp, "simplex_max", simplex)
+        games = [g2] + [
+            with_measure(g, (Measure.MPINF, Measure.MPSUP)[i % 2])
+            for i, g in enumerate(small_corpus[:8])
+        ]
+        ext = ExtRational
+        bounds = [
+            (Bounds.free(), Bounds.free()),
+            (Bounds(ext(F(0)), False, ext(F(2)), False), Bounds(ext(F(-1)), True, ext(F(1)), True)),
+            (Bounds(ext(F(1)), True, INF, False), Bounds(NEG, False, ext(F(1)), False)),
+        ]
+        for g in games:
+            graph = _annotated_graph(g, g.vertices[0])
+            sub = set(range(graph.arena.n))
+            for b1, b2 in bounds:
+                path_in_box_mp(graph, sub, b1, b2)
+        assert len(calls) >= len(games)
+        for nverts, rows in calls:
+            assert rows is not None and rows <= 2 * nverts + 7, (nverts, rows)
+
+
 def liminf_tailset_oracle(graph, box_, limsup):
     """Exhaustive: pick the set of edges visited infinitely often."""
     arena = graph.arena

@@ -25,3 +25,16 @@ def test_no_assert_in_package():
         tree = ast.parse(path.read_text(), filename=str(path))
         found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not found, f"{path.name}: assert at lines {found}"
+
+
+def test_no_float_in_package():
+    # every solver path is exact: no float() call or annotation, no float literal
+    for path in sorted((ROOT / "src" / "secgames").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found = [
+            node.lineno
+            for node in ast.walk(tree)
+            if (isinstance(node, ast.Name) and node.id == "float")
+            or (isinstance(node, ast.Constant) and isinstance(node.value, float))
+        ]
+        assert not found, f"{path.name}: float at lines {found}"

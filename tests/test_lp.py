@@ -7,12 +7,21 @@ F = Fraction
 
 
 def feasible(strict, nonstrict, nvars):
-    sys = LinearSystem([f"x{i}" for i in range(nvars)])
+    """Decide a system over free variables: each x_i is split into
+    x_i+ - x_i- with both parts nonnegative, and the witness mapped back."""
+    sys = LinearSystem([f"x{i}{sign}" for sign in "+-" for i in range(nvars)])
     for coeffs, bound in strict:
-        sys.add_strict(coeffs, bound)
+        sys.add_strict(split_free(coeffs), bound)
     for coeffs, bound in nonstrict:
-        sys.add_nonstrict(coeffs, bound)
-    return lp_feasible(sys)
+        sys.add_nonstrict(split_free(coeffs), bound)
+    ok, wit = lp_feasible(sys)
+    if not ok:
+        return ok, wit
+    return ok, [wit[i] - wit[nvars + i] for i in range(nvars)]
+
+
+def split_free(coeffs):
+    return list(coeffs) + [-c for c in coeffs]
 
 
 class TestKnownSystems:
@@ -34,23 +43,49 @@ class TestKnownSystems:
 
 class TestSimplex:
     def test_simple_max(self):
-        # max x + y s.t. x <= 2, y <= 3
-        status, val, point = simplex_max([[1, 0], [0, 1]], [2, 3], [1, 1])
+        # max x + y s.t. x + s1 = 2, y + s2 = 3
+        status, val, point = simplex_max([[1, 0, 1, 0], [0, 1, 0, 1]], [2, 3], [1, 1, 0, 0])
         assert status == "optimal" and val == 5
 
     def test_unbounded(self):
-        status, val, point = simplex_max([[-1]], [0], [1])
+        # -x + s = 0
+        status, val, point = simplex_max([[-1, 1]], [0], [1, 0])
         assert status == "unbounded"
 
     def test_infeasible(self):
-        # x <= -1, x >= 0
-        status, val, point = simplex_max([[1]], [-1], [0])
+        # x + s = -1
+        status, val, point = simplex_max([[1, 1]], [-1], [0, 0])
         assert status == "infeasible"
 
     def test_negative_rhs_feasible(self):
-        # x >= 2 (as -x <= -2), max -x  ->  optimum -2
-        status, val, point = simplex_max([[-1]], [-2], [-1])
+        # -x + s = -2, max -x  ->  optimum -2
+        status, val, point = simplex_max([[-1, 1]], [-2], [-1, 0])
         assert status == "optimal" and val == -2 and point[0] == 2
+
+    def test_beale_cycling_example(self):
+        # Beale (1955): the largest-coefficient rule cycles on it from the
+        # slack basis; Bland's rule must stop at the optimum 5/4
+        h, q = F(1, 2), F(1, 4)
+        A = [
+            [q, -8, -1, 9, 1, 0, 0],
+            [h, -12, -h, 3, 0, 1, 0],
+            [0, 0, 1, 0, 0, 0, 1],
+        ]
+        c = [F(3, 4), -20, h, -6, 0, 0, 0]
+        status, val, point = simplex_max(A, [0, 0, 1], c)
+        assert status == "optimal" and val == F(5, 4)
+        assert point == [1, 0, 1, 0, F(3, 4), 0, 0]
+
+    def test_duplicated_equality_row(self):
+        # rank-deficient A: x + y = 2 twice, x - y + s = 1; max x at (3/2, 1/2)
+        A = [[1, 1, 0], [1, 1, 0], [1, -1, 1]]
+        status, val, point = simplex_max(A, [2, 2, 1], [1, 0, 0])
+        assert status == "optimal" and val == F(3, 2)
+        assert point == [F(3, 2), F(1, 2), 0]
+
+    def test_duplicated_row_inconsistent(self):
+        status, _, _ = simplex_max([[1, 1], [1, 1]], [2, 3], [1, 0])
+        assert status == "infeasible"
 
 
 def fourier_motzkin(strict, nonstrict, nvars):
@@ -128,3 +163,60 @@ class TestAgainstFourierMotzkin:
                     assert sum(F(c) * w for c, w in zip(coeffs, wit)) > bound
                 for coeffs, bound in nonstrict:
                     assert sum(F(c) * w for c, w in zip(coeffs, wit)) >= bound
+
+
+def nonnegative_oracle(strict, nonstrict, equal, nvars):
+    """Fourier-Motzkin on a nonnegative system: x >= 0 and each equality as
+    two opposite nonstrict rows."""
+    rows = list(nonstrict)
+    for i in range(nvars):
+        rows.append(([int(i == j) for j in range(nvars)], 0))
+    for coeffs, bound in equal:
+        rows.append((coeffs, bound))
+        rows.append(([-c for c in coeffs], -bound))
+    return fourier_motzkin(strict, rows, nvars)
+
+
+class TestNonnegativeAgainstFourierMotzkin:
+    def test_random_systems_with_equalities(self):
+        rng = random.Random(43)
+
+        def rows(count, nvars):
+            return [
+                ([rng.randint(-3, 3) for _ in range(nvars)], rng.randint(-4, 4))
+                for _ in range(count)
+            ]
+
+        feasible_count = 0
+        for _ in range(300):
+            nvars = rng.randint(1, 3)
+            strict = rows(rng.randint(0, 2), nvars)
+            nonstrict = rows(rng.randint(0, 2), nvars)
+            equal = rows(rng.randint(0, 2), nvars)
+            sys = LinearSystem([f"x{i}" for i in range(nvars)])
+            for coeffs, bound in strict:
+                sys.add_strict(coeffs, bound)
+            for coeffs, bound in nonstrict:
+                sys.add_nonstrict(coeffs, bound)
+            for coeffs, bound in equal:
+                sys.add_equal(coeffs, bound)
+            ok, wit = lp_feasible(sys)
+            assert ok == nonnegative_oracle(strict, nonstrict, equal, nvars), (
+                strict,
+                nonstrict,
+                equal,
+            )
+            if not ok:
+                assert wit is None
+                continue
+            feasible_count += 1
+
+            def dot(coeffs):
+                return sum(F(c) * w for c, w in zip(coeffs, wit))
+
+            assert len(wit) == nvars and all(w >= 0 for w in wit)
+            assert all(dot(c) > b for c, b in strict)
+            assert all(dot(c) >= b for c, b in nonstrict)
+            assert all(dot(c) == b for c, b in equal)
+        # both answers occur often enough to mean something
+        assert 50 < feasible_count < 250
