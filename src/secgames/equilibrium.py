@@ -1,17 +1,20 @@
 """Secure-equilibrium synthesis and verification.
 
-Synthesis follows the punishment construction: both players follow the
-outcome of the two optimal strategies; the first player to leave it is
-punished forever with the opponent's optimal counter-strategy from the other
-lexicographic game.  Machines are Mealy automata whose on-track states
-remember the position along the outcome lasso.
+Synthesis follows the punishment construction for every measure: both
+players follow the outcome of the two optimal strategies; the first player
+to leave it is punished forever with the opponent's optimal counter-strategy
+from the other lexicographic game.
 
-For min/max (inf/sup) measures both players solve one running-extremes
-arena (`lex.augment_view`); machines carry the extremes through their
-punish states so the arena's positional strategies stay playable.  The
-arena, the machines and the outcome check advance the extremes through one
-update, `lex.extremes_update`.  The two machines of a profile share their
-states and update table and differ only in their choices.
+Plays are read over running-extremes states (vertex, extreme 1, extreme 2),
+advanced by one update, `lex.extremes_update`.  An inf/sup component tracks
+its extreme, and both players then solve one running-extremes arena
+(`lex.augment_view`); every other component tracks nothing, so a
+mean-payoff, liminf/limsup or discounted game reads states (v, None, None)
+and takes its strategies from `lex.solve_lex`.  The two Mealy machines of a
+profile share their states and update table and differ only in their
+choices: on-track states remember the position along the outcome lasso, and
+punish states what the next extremes update reads.  The outcome check walks
+the same states.
 """
 
 from __future__ import annotations
@@ -88,108 +91,71 @@ class StrategyProfile:
     strat2: MealyStrategy
 
 
-def _lasso_positions(lasso: Lasso):
-    rho = list(lasso.stem) + list(lasso.cycle)
-    wrap = len(lasso.stem)
-    def succ(l):
-        return l + 1 if l + 1 < len(rho) else wrap
-    return rho, succ
+def _track_machines(game: WeightedGame, rho: list[tuple], wrap: int, punish_next, tracked: bool):
+    """Both players' Mealy machines over the outcome: on-track states follow
+    the running-extremes states rho (cycle from position `wrap`); the first
+    player to leave it is punished forever.  The machines share their states
+    and update table.
 
-
-def _track_machines(game: WeightedGame, lasso: Lasso, punish: dict[int, dict[str, str]]):
-    """Both players' Mealy machines: follow the lasso, else punish the
-    deviator forever.  The machines share their states and update table.
-
-    punish[p] gives player p's punishment successor at each of its vertices.
+    A punish state remembers what the next extremes update reads: the
+    running-extremes state when an extreme is tracked, nothing otherwise, so
+    a game that tracks nothing has one punish state.  punish_next[p] maps the
+    state after reading a vertex of player p to its punishment successor.
     """
-    rho, succ = _lasso_positions(lasso)
-    n = len(rho)
-    states = ["start"] + [f"track{l}" for l in range(n)] + ["punish"]
-    START, PUNISH = 0, n + 1
-    delta = {}
-    choose: dict[int, dict] = {1: {}, 2: {}}
-    for m in range(n + 2):
-        # lasso position the play is expected at, none once punishing
-        pos = None if m == PUNISH else 0 if m == START else succ(m - 1)
-        for v in game.vertices:
-            player = game.owner[v]
-            if pos is not None and v == rho[pos]:
-                delta[(m, v)] = 1 + pos
-                choose[player][(m, v)] = rho[succ(pos)]
-            else:
-                delta[(m, v)] = PUNISH
-                choose[player][(m, v)] = punish[player][v]
-    return tuple(MealyStrategy(p, states, START, delta, choose[p]) for p in (1, 2))
-
-
-def _aug_track_machines(game: WeightedGame, rho: list[tuple], wrap: int, punish_next, step):
-    """Both players' machines over an extreme-tracking play: on-track states
-    follow the lifted lasso rho (cycle from position `wrap`); punish states
-    carry the current running-extremes state.  The machines share their
-    states and update table.
-
-    punish_next[p] maps a running-extremes state at a vertex of player p to
-    its punishment successor name; step(state, vertex) reads `vertex`.
-    """
+    step = _extremes_step(game)
     n = len(rho)
 
     def succ(l):
         return l + 1 if l + 1 < n else wrap
 
     labels = ["start"] + [f"track{l}" for l in range(n)]
-    semantics: list[tuple] = [("start",)] + [("track", l) for l in range(n)]
-    index = {s: i for i, s in enumerate(semantics)}
+    # per machine state: the running-extremes state it continues from (none
+    # for the start state, which reads vertex v from (v, None, None)) and the
+    # lasso position it expects next (none once punishing)
+    bases: list[tuple | None] = [None] + list(rho)
+    expect: list[int | None] = [0] + [succ(l) for l in range(n)]
+    punish_of: dict[tuple | None, int] = {}
 
-    def intern(sem):
-        if sem not in index:
-            index[sem] = len(semantics)
-            semantics.append(sem)
-            v, e1, e2 = sem[1]
-            labels.append(f"punish|{game.vertices[v]}|{e1}|{e2}")
-        return index[sem]
+    def punish(state):
+        key = state if tracked else None
+        if key not in punish_of:
+            punish_of[key] = len(labels)
+            v, e1, e2 = state
+            labels.append(f"punish|{game.vertices[v]}|{e1}|{e2}" if tracked else "punish")
+            bases.append(state)
+            expect.append(None)
+        return punish_of[key]
 
     delta = {}
     choose: dict[int, dict] = {1: {}, 2: {}}
-    qi = 0
-    while qi < len(semantics):
-        mi = qi
-        qi += 1
-        sem = semantics[mi]
+    mi = 0
+    while mi < len(labels):
+        pos = expect[mi]
         for vi, v in enumerate(game.vertices):
-            if sem[0] == "start":
-                base, expect_pos = (vi, None, None), 0
-            elif sem[0] == "track":
-                base, expect_pos = rho[sem[1]], succ(sem[1])
-            else:
-                base, expect_pos = sem[1], None
             player = game.owner[v]
-            if expect_pos is not None and vi == rho[expect_pos][0]:
-                delta[(mi, v)] = intern(("track", expect_pos))
-                choose[player][(mi, v)] = game.vertices[rho[succ(expect_pos)][0]]
+            if pos is not None and vi == rho[pos][0]:
+                delta[(mi, v)] = 1 + pos
+                choose[player][(mi, v)] = game.vertices[rho[succ(pos)][0]]
             else:
-                ni = intern(("punish", step(base, v)))
-                delta[(mi, v)] = ni
-                choose[player][(mi, v)] = punish_next[player](semantics[ni][1])
+                # the state after reading v; with nothing tracked, just v
+                cur = step(bases[mi] or (vi, None, None), v) if tracked else (vi, None, None)
+                delta[(mi, v)] = punish(cur)
+                choose[player][(mi, v)] = punish_next[player](cur)
+        mi += 1
     return tuple(MealyStrategy(p, labels, 0, delta, choose[p]) for p in (1, 2))
 
 
-# ---------------------------------------------------------------------------
-
-
-def _measure_route(game: WeightedGame) -> str:
+def _tracks_extremes(game: WeightedGame) -> bool:
+    """Whether the measure pair tracks a running extreme: false for a
+    same-measure pair other than inf/inf and sup/sup, true for a min-family
+    (inf, liminf) or max-family (sup, limsup) pair with an inf/sup
+    component.  Any other pair raises MeasureCombinationError."""
     m1, m2 = game.measure1, game.measure2
-    direct = {
-        (Measure.MPINF, Measure.MPINF),
-        (Measure.MPSUP, Measure.MPSUP),
-        (Measure.LIMINF, Measure.LIMINF),
-        (Measure.LIMSUP, Measure.LIMSUP),
-        (Measure.DISC, Measure.DISC),
-    }
-    if (m1, m2) in direct:
-        return "direct"
+    if m1 is m2 and m1 not in (Measure.INF, Measure.SUP):
+        return False
     fam = {Measure.INF: "min", Measure.LIMINF: "min", Measure.SUP: "max", Measure.LIMSUP: "max"}
-    if m1 in fam and m2 in fam and fam[m1] == fam[m2]:
-        return "augmented"
+    if m1 in fam and fam[m1] == fam.get(m2):
+        return True
     raise MeasureCombinationError(f"unsupported measure combination ({m1}, {m2})")
 
 
@@ -197,84 +163,36 @@ def synthesize_secure_eq(game: WeightedGame, v0: str):
     """Build a finite-memory secure equilibrium from v0.
 
     Returns (profile, outcome lasso, payoff).  The reachable memory of each
-    machine is checked against |V|+2, or |V|*|E|^2+3 when running through
-    the augmented arena.
+    machine is checked against |V|+2, or |V|*|E|^2+3 when an extreme is
+    tracked.
     """
     require_valid(game)
-    route = _measure_route(game)
-    if route == "direct":
-        profile, outcome, payoff = _synthesize_direct(game, v0)
-        bound = game.n + 2
-    else:
-        profile, outcome, payoff = _synthesize_augmented(game, v0)
+    tracked = _tracks_extremes(game)
+    # each player's pair (protagonist, opponent) of positional strategies,
+    # maps from running-extremes state to successor name
+    if tracked:
+        # both players solve one running-extremes arena, a liminf/limsup game
+        # whose uniform positional strategies come from one threshold
+        # bisection per player (`lex._solve_lex_liminf_view`)
+        aug = augment_view(game, [game.index[v0]])
+
+        def as_map(strat):
+            return {
+                aug.states[si]: game.vertices[aug.states[aug.edge_tgt[k]][0]]
+                for si, k in strat.items()
+            }
+
+        solved = [_solve_lex_liminf_view(make_view(aug, which), True)[1:] for which in (1, 2)]
         bound = game.n * len(game.edges) ** 2 + 3
-    for mach in (profile.strat1, profile.strat2):
-        reach = mach.reachable_states(game, v0)
-        if len(reach) > bound:
-            raise InternalError(f"reachable memory {len(reach)} exceeds the bound {bound}")
-    return profile, outcome, payoff
+    else:
 
+        def as_map(strat):
+            return {(game.index[v], None, None): succ for v, succ in strat.items()}
 
-def _synthesize_direct(game: WeightedGame, v0: str):
-    t1 = solve_lex(game, 1)
-    t2 = solve_lex(game, 2)
-    s1 = t1.strategy_max()
-    s2 = t2.strategy_max()
-    punish1 = t2.strategy_min()  # player 1 punishing player 2
-    punish2 = t1.strategy_min()  # player 2 punishing player 1
-    choice = dict(s1)
-    choice.update(s2)
-    outcome = _walk_names(game, choice, v0)
-    payoff = eval_lasso_payoff(game, outcome)
-    m1, m2 = _track_machines(game, outcome, {1: punish1, 2: punish2})
-    return StrategyProfile(m1, m2), outcome, payoff
-
-
-def _walk_names(game: WeightedGame, choice: dict[str, str], v0: str) -> Lasso:
-    seen = {}
-    path = []
-    cur = v0
-    while cur not in seen:
-        seen[cur] = len(path)
-        path.append(cur)
-        cur = choice[cur]
-    k = seen[cur]
-    return Lasso(tuple(path[:k]), tuple(path[k:])).canonical()
-
-
-def _extremes_step(game: WeightedGame):
-    """step(state, v): the running-extremes state (vertex index, extreme 1,
-    extreme 2) after reading vertex name v; reading a vertex that is not a
-    successor keeps the extremes."""
-    advance = extremes_update(game)
-
-    def step(state, v):
-        u, e1, e2 = state
-        w = game.weights.get((game.vertices[u], v))
-        if w is None:
-            return (game.index[v], e1, e2)
-        return (game.index[v], *advance(e1, e2, *w))
-
-    return step
-
-
-def _synthesize_augmented(game: WeightedGame, v0: str):
-    # both players solve one running-extremes arena, a liminf/limsup game
-    # whose uniform positional strategies come from one threshold bisection
-    # per player (`lex._solve_lex_liminf_view`)
-    aug = augment_view(game, [game.index[v0]])
-
-    def as_map(strat):
-        return {
-            aug.states[si]: game.vertices[aug.states[aug.edge_tgt[k]][0]]
-            for si, k in strat.items()
-        }
-
-    strategies = {}
-    for which in (1, 2):
-        _values, sp, sa = _solve_lex_liminf_view(make_view(aug, which), True)
-        strategies[which] = (as_map(sp), as_map(sa))
-    (s1, punish2), (s2, punish1) = strategies[1], strategies[2]
+        tables = (solve_lex(game, 1), solve_lex(game, 2))
+        solved = [(t.strategy_max(), t.strategy_min()) for t in tables]
+        bound = game.n + 2
+    (s1, punish2), (s2, punish1) = [(as_map(sp), as_map(sa)) for sp, sa in solved]
     step = _extremes_step(game)
 
     # outcome of the two protagonist strategies
@@ -294,16 +212,37 @@ def _synthesize_augmented(game: WeightedGame, v0: str):
     payoff = eval_lasso_payoff(game, outcome)
 
     def fallback(strat):
+        # a state off the arena (a row no play reaches) takes the first edge
         def f(state):
             if state in strat:
                 return strat[state]
             return game.vertices[game.edge_tgt[game.out_edges[state[0]][0]]]
         return f
 
-    m1, m2 = _aug_track_machines(
-        game, path, wrap, {1: fallback(punish1), 2: fallback(punish2)}, step
+    profile = StrategyProfile(
+        *_track_machines(game, path, wrap, {1: fallback(punish1), 2: fallback(punish2)}, tracked)
     )
-    return StrategyProfile(m1, m2), outcome, payoff
+    for mach in (profile.strat1, profile.strat2):
+        reach = mach.reachable_states(game, v0)
+        if len(reach) > bound:
+            raise InternalError(f"reachable memory {len(reach)} exceeds the bound {bound}")
+    return profile, outcome, payoff
+
+
+def _extremes_step(game: WeightedGame):
+    """step(state, v): the running-extremes state (vertex index, extreme 1,
+    extreme 2) after reading vertex name v; reading a vertex that is not a
+    successor keeps the extremes."""
+    advance = extremes_update(game)
+
+    def step(state, v):
+        u, e1, e2 = state
+        w = game.weights.get((game.vertices[u], v))
+        if w is None:
+            return (game.index[v], e1, e2)
+        return (game.index[v], *advance(e1, e2, *w))
+
+    return step
 
 
 # ---------------------------------------------------------------------------
@@ -345,38 +284,29 @@ def check_secure_outcome(
 ) -> bool:
     """Is this play the outcome of some secure equilibrium?
 
-    Checks, at every stem position and one full cycle round, that no player's
-    lexicographic value at the visited vertex beats the suffix payoff.  For
-    inf/sup measures the values come from the augmented arena along the
-    lifted play.
+    Walks the play over running-extremes states until position and extremes
+    turn periodic together, and checks that no player's lexicographic value
+    there beats the payoff.  A value is read on the table's extremes arena
+    when it has one, else at the vertex.  Every suffix of the lifted play
+    carries the extremes accumulated so far, so for a prefix-independent
+    measure its payoff is the payoff of the whole play; a discounted payoff
+    is not, and is compared suffix by suffix.
     """
-    t1, t2 = tables
     if lasso.stem and lasso.stem[0] != v0:
         return False
     if not lasso.stem and lasso.cycle[0] != v0:
         return False
-    length = len(lasso.stem) + len(lasso.cycle)
-    if t1.aug is None and t2.aug is None:
-        for k in range(length):
-            suffix_payoff = eval_lasso_payoff(game, lasso.suffix(k))
-            v = lasso.vertices_in_order[k]
-            if not lex_le(t1.value(v), suffix_payoff, 1):
+    disc = game.measure1 is Measure.DISC
+    total = None if disc else eval_lasso_payoff(game, lasso)
+    for k, state in enumerate(_lift_states(game, lasso)):
+        payoff = eval_lasso_payoff(game, lasso.suffix(k)) if disc else total
+        for which, table in zip((1, 2), tables):
+            if table.aug is not None:
+                value = table.aug.values[table.aug.state_index[state]]
+            else:
+                value = table.value(game.vertices[state[0]])
+            if not lex_le(value, payoff, which):
                 return False
-            if not lex_le(t2.value(v), suffix_payoff, 2):
-                return False
-        return True
-    # augmented (inf/sup family): values live on extreme-annotated vertices,
-    # and every suffix of the lifted play carries the accumulated extremes,
-    # so its augmented payoff is the total payoff of the play
-    if t1.aug is None or t2.aug is None:
-        raise InternalError("augmented check needs both augmented value tables")
-    total = eval_lasso_payoff(game, lasso)
-    aug1, aug2 = t1.aug, t2.aug
-    for state in _lift_states(game, lasso):
-        if not lex_le(aug1.values[aug1.state_index[state]], total, 1):
-            return False
-        if not lex_le(aug2.values[aug2.state_index[state]], total, 2):
-            return False
     return True
 
 
@@ -384,7 +314,7 @@ def _lift_states(game: WeightedGame, lasso: Lasso):
     """Running-extremes states along the play, walked until position and
     extremes turn periodic together."""
     step = _extremes_step(game)
-    rho, succ = _lasso_positions(lasso)
+    rho = list(lasso.stem) + list(lasso.cycle)
     states = []
     cur = (game.index[rho[0]], None, None)
     pos = 0
@@ -392,7 +322,7 @@ def _lift_states(game: WeightedGame, lasso: Lasso):
     while (pos, cur) not in seen:
         seen.add((pos, cur))
         states.append(cur)
-        pos = succ(pos)
+        pos = pos + 1 if pos + 1 < len(rho) else len(lasso.stem)
         cur = step(cur, rho[pos])
     return states
 
@@ -405,7 +335,7 @@ def verify_profile_secure(game: WeightedGame, v0: str, profile: StrategyProfile)
     secure equilibrium.
     """
     require_valid(game)
-    _measure_route(game)
+    _tracks_extremes(game)
     outcome = outcome_of_profile(game, v0, profile)
     t1 = solve_lex(game, 1, need_strategies=False)
     t2 = solve_lex(game, 2, need_strategies=False)

@@ -351,18 +351,24 @@ def synth_document(game, v0, outcome: Lasso, payoff: PayoffPair, profile: Strate
 # DOT export
 
 
+def _dot_escape(text: str) -> str:
+    """`text` for the inside of a DOT quoted string."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def game_to_dot(game: WeightedGame, values: dict[str, PayoffPair] | None = None) -> str:
     out = ["digraph arena {"]
     for v in game.vertices:
         shape = "circle" if game.owner[v] == 1 else "box"
-        label = v
+        label = _dot_escape(v)
         if values is not None and v in values:
-            label = f"{v}\\n{values[v]}"
-        out.append(f'  "{v}" [shape={shape}, label="{label}"];')
+            label += f"\\n{_dot_escape(str(values[v]))}"
+        out.append(f'  "{_dot_escape(v)}" [shape={shape}, label="{label}"];')
     for u, v in game.edges:
         w1, w2 = game.weights[(u, v)]
         out.append(
-            f'  "{u}" -> "{v}" [label="({format_rational(w1)}, {format_rational(w2)})"];'
+            f'  "{_dot_escape(u)}" -> "{_dot_escape(v)}" '
+            f'[label="({format_rational(w1)}, {format_rational(w2)})"];'
         )
     out.append("}")
     return "\n".join(out) + "\n"
@@ -372,7 +378,7 @@ def mealy_to_dot(mach: MealyStrategy) -> str:
     out = [f"digraph mealy{mach.player} {{"]
     for i, s in enumerate(mach.states):
         shape = "doublecircle" if i == mach.initial else "circle"
-        out.append(f'  s{i} [shape={shape}, label="{s}"];')
+        out.append(f'  s{i} [shape={shape}, label="{_dot_escape(s)}"];')
     moves = {}
     for (state, vertex), target in sorted(mach.delta.items()):
         lbl = vertex
@@ -380,6 +386,6 @@ def mealy_to_dot(mach: MealyStrategy) -> str:
             lbl += f"/{mach.choose[(state, vertex)]}"
         moves.setdefault((state, target), []).append(lbl)
     for (state, target), labels in sorted(moves.items()):
-        out.append(f'  s{state} -> s{target} [label="{", ".join(labels)}"];')
+        out.append(f'  s{state} -> s{target} [label="{_dot_escape(", ".join(labels))}"];')
     out.append("}")
     return "\n".join(out) + "\n"

@@ -328,9 +328,11 @@ def _family(measure: Measure) -> str | None:
 def extremes_update(game: WeightedGame):
     """advance(e1, e2, w1, w2): the running extremes after an edge of
     weights (w1, w2), in game component order.  An inf (sup) component keeps
-    its minimum (maximum); a liminf/limsup component stays None."""
+    its minimum (maximum); any other component stays None, so a pair of
+    neither family (mean payoff, discounted) tracks nothing.  A pair that
+    mixes families raises."""
     fam = _family(game.measure1)
-    if fam is None or fam != _family(game.measure2):
+    if fam != _family(game.measure2):
         raise MeasureCombinationError(
             f"unsupported measure pair for running extremes: ({game.measure1}, {game.measure2})"
         )

@@ -325,9 +325,12 @@ def test_criterion_8_scalarization_monotonicity():
     )
 
 
-def test_runtime_ladder_smoke(capsys=None):
-    """Growth smoke check, no hard thresholds: polynomial solvers over |V|,
-    pseudo-polynomial ones over the weight magnitude."""
+def test_runtime_ladder_smoke():
+    """The growth ladder, polynomial solvers over |V| and pseudo-polynomial
+    ones over the weight magnitude, with every answer checked: a liminf value
+    pairs a first and a second weight of the game, and a mean-payoff value is
+    the mean of the cycle its vertex reaches under the two returned
+    strategies."""
     rng = random.Random(5)
 
     def ladder_game(n, wmax, measure):
@@ -346,12 +349,13 @@ def test_runtime_ladder_smoke(capsys=None):
 
         return WeightedGame(names, owners, edges, weights, measure, measure)
 
-    lines = []
     for n in (10, 20, 40):
         g = ladder_game(n, 3, Measure.LIMINF)
-        t0 = time.time()
-        solve_lex(g, 1, need_strategies=False)
-        lines.append(f"  liminf lex values, |V|={n}: {time.time() - t0:.2f}s")
+        table = solve_lex(g, 1, need_strategies=False)
+        firsts = {w1 for w1, _w2 in g.weights.values()}
+        seconds = {w2 for _w1, w2 in g.weights.values()}
+        for v, pair in table.values.items():
+            assert pair.p1 in firsts and pair.p2 in seconds, (n, v, pair)
     for wmax in (10, 100, 1000):
         n = 10
         owner = [rng.randint(0, 1) for _ in range(n)]
@@ -361,9 +365,14 @@ def test_runtime_ladder_smoke(capsys=None):
                 edges.append((v, t))
         arena = Arena(n, owner, edges)
         wts = [rng.randint(-wmax, wmax) for _ in range(arena.m)]
-        t0 = time.time()
-        solve_mean_payoff(ScalarGame(arena, wts, 0))
-        lines.append(f"  mean-payoff values, |V|=10, W={wmax}: {time.time() - t0:.2f}s")
-    print("runtime ladder (no thresholds):")
-    for line in lines:
-        print(line)
+        result = solve_mean_payoff(ScalarGame(arena, wts, 0))
+        choice = {**result.strategy_max, **result.strategy_min}
+        for v in range(n):
+            walk = []
+            cur = v
+            while cur not in walk:
+                walk.append(cur)
+                cur = arena.edge_tgt[choice[cur]]
+            cycle = walk[walk.index(cur) :]
+            mean = F(sum(wts[choice[u]] for u in cycle), len(cycle))
+            assert result.values[v] == mean, (wmax, v)

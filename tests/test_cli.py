@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -205,6 +206,87 @@ class TestSynthVerify:
         )
         assert code == 0
         assert dot.read_text().count("digraph") == 2
+
+
+# vertex names with a quote and backslashes; none contains "\n", ", ", "/" or "|"
+ODD_NAMES_GAME = r"""measure 1 inf
+measure 2 inf
+vertex a"b 1
+vertex c\d 2
+vertex e\ 1
+edge a"b c\d 1 1
+edge a"b e\ 2 0
+edge c\d a"b 0 2
+edge c\d c\d 1 1
+edge e\ e\ 1 1
+init a"b
+"""
+QUOTED = r'"((?:[^"\\]|\\.)*)"'
+DOT_LINES = {
+    "graph": re.compile(r"digraph \w+ \{|\}"),
+    "vertex": re.compile(rf"  {QUOTED} \[shape=\w+, label={QUOTED}\];"),
+    "edge": re.compile(rf"  {QUOTED} -> {QUOTED} \[label={QUOTED}\];"),
+    "state": re.compile(rf"  s\d+ \[shape=\w+, label={QUOTED}\];"),
+    "move": re.compile(rf"  s\d+ -> s\d+ \[label={QUOTED}\];"),
+}
+
+
+def _unescape(body):
+    """A DOT quoted string's body, unescaped and split at its \n separators."""
+    parts = [""]
+    for tok in re.findall(r"\\.|[^\\]", body):
+        if tok == "\\n":
+            parts.append("")
+        else:
+            parts[-1] += tok[-1]
+    return parts
+
+
+def _dot_lines(text):
+    """(form, unescaped quoted strings) per line of a DOT file; fails on a
+    line of no expected form, such as one with a stray quote."""
+    out = []
+    for line in text.splitlines():
+        form = next((f for f, r in DOT_LINES.items() if r.fullmatch(line)), None)
+        assert form is not None, line
+        out.append((form, [_unescape(body) for body in DOT_LINES[form].fullmatch(line).groups()]))
+    return out
+
+
+class TestDotEscaping:
+    def test_odd_vertex_names_round_trip(self, tmp_path, capsys):
+        game = tmp_path / "odd.game"
+        game.write_text(ODD_NAMES_GAME)
+        names = ['a"b', "c\\d", "e\\"]
+        dots = {cmd: tmp_path / f"{cmd}.dot" for cmd in ("validate", "values", "synth")}
+        for args in (
+            ["validate", "--game", game, "--dot", dots["validate"]],
+            ["values", "--game", game, "--player", "1", "--dot", dots["values"]],
+            ["synth", "--game", game, "--dot", dots["synth"]],
+        ):
+            code, _ = run_cli(args, capsys)
+            assert code == 0, args
+        # arena: vertex ids and labels are names, values add a "\n" line
+        for cmd in ("validate", "values"):
+            vertices = []
+            for form, strings in _dot_lines(dots[cmd].read_text()):
+                if form == "vertex":
+                    (name,), label = strings
+                    assert label[0] == name and len(label) == (2 if cmd == "values" else 1)
+                    vertices.append(name)
+                elif form == "edge":
+                    assert strings[0][0] in names and strings[1][0] in names
+            assert vertices == names
+        # machines: punish and move labels name vertices
+        seen = set()
+        for form, strings in _dot_lines(dots["synth"].read_text()):
+            label = strings[0][0] if strings else ""
+            if form == "state" and label.startswith("punish|"):
+                seen.add(label.split("|")[1])
+            elif form == "move":
+                for move in label.split(", "):
+                    seen.update(move.split("/"))
+        assert seen == set(names)
 
 
 class TestValidateOracle:

@@ -87,6 +87,39 @@ class TestCheckSecureOutcome:
         m2 = _const_machine(g1, 2, {"v2": "v4"})
         assert not verify_profile_secure(g1, "v0", StrategyProfile(m1, m2))
 
+    def test_disc_compares_suffix_payoffs(self):
+        # v0 (v1)^w pays (5, 5) in total, but from v1 on it pays (0, 0),
+        # below Val1(v1) = (2, 0): player 1 would leave for v3
+        from secgames.game import WeightedGame
+
+        edges = {
+            ("v0", "v1"): (10, 10),
+            ("v0", "v2"): (0, -1),
+            ("v2", "v2"): (0, -1),
+            ("v1", "v1"): (0, 0),
+            ("v1", "v3"): (2, 0),
+            ("v3", "v3"): (2, 0),
+        }
+        game = WeightedGame(
+            ["v0", "v1", "v2", "v3"],
+            {"v0": 2, "v1": 1, "v2": 1, "v3": 1},
+            list(edges),
+            {e: (F(a), F(b)) for e, (a, b) in edges.items()},
+            Measure.DISC,
+            Measure.DISC,
+            F(1, 2),
+        )
+        tables = (solve_lex(game, 1, False), solve_lex(game, 2, False))
+        play = Lasso(("v0",), ("v1",))
+        total = eval_lasso_payoff(game, play)
+        assert total == pp(5, 5)
+        assert tables[0].value("v1") == pp(2, 0)
+        # the whole play's payoff beats every value along it
+        for which, table in zip((1, 2), tables):
+            for v in ("v0", "v1"):
+                assert lex_compare(table.value(v), total, which) <= 0
+        assert not check_secure_outcome(game, "v0", play, tables)
+
 
 def _const_machine(game, player, choices):
     delta = {}
@@ -120,6 +153,16 @@ class TestSynthesisAcrossMeasures:
                 )
                 assert outcome_of_profile(gm, v0, profile) == outcome
                 _assert_no_profitable_positional_deviation(gm, v0, profile, payoff)
+                if measure not in (Measure.INF, Measure.SUP):
+                    # no extreme tracked: one state per lasso position and a
+                    # single absorbing punish state
+                    k = len(outcome.stem) + len(outcome.cycle)
+                    states = profile.strat1.states
+                    assert states == ["start"] + [f"track{l}" for l in range(k)] + ["punish"]
+                    assert profile.strat1.state_count() == k + 2
+                    punish = k + 1
+                    for (state, _v), target in profile.strat1.delta.items():
+                        assert state != punish or target == punish
 
     def test_memory_bounds_on_corpus(self, small_corpus):
         for g in small_corpus[:12]:
@@ -160,6 +203,24 @@ def _simulate_positional_vs_machine(game, v0, player, dev, mach):
         cur = nxt
     k = seen[(cur, state)]
     return Lasso(tuple(path[:k]), tuple(path[k:]))
+
+
+class TestOneVertexGame:
+    def test_no_deviation_no_punish_state(self):
+        # every vertex read is the expected one, so no row leads to punishing
+        from secgames.game import WeightedGame
+
+        game = WeightedGame(
+            ["v0"],
+            {"v0": 1},
+            [("v0", "v0")],
+            {("v0", "v0"): (F(1), F(2))},
+            Measure.MPINF,
+            Measure.MPINF,
+        )
+        profile, outcome, payoff = synthesize_secure_eq(game, "v0")
+        assert outcome == Lasso((), ("v0",)) and payoff == pp(1, 2)
+        assert profile.strat1.states == ["start", "track0"]
 
 
 class TestMixedMeasureSynthesis:
