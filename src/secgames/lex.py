@@ -536,17 +536,20 @@ def _solve_lex_mp_view(game: WeightedGame, which: int, need_strategies: bool):
     scal = [m * wa[k] - wb[k] for k in range(view.arena.m)]
 
     # the scalar value at v is m * l(v) - beta with beta a cycle mean of the
-    # second component on a cycle whose first-component mean is exactly l(v)
-    per_vertex: dict[int, list[Fraction]] = {}
-    for v in range(n):
-        l = primary.values[v]
+    # second component on a cycle whose first-component mean is exactly l(v);
+    # vertices with one primary value share one list
+    by_value: dict[Fraction, list[Fraction]] = {}
+    for l in primary.values:
+        if l in by_value:
+            continue
         cands = set()
         for length in range(1, n + 1):
             if (l * length).denominator != 1:
                 continue
             for b in range(0, length * max_wb + 1):
                 cands.add(m * l - Fraction(b, length))
-        per_vertex[v] = sorted(cands)
+        by_value[l] = sorted(cands)
+    per_vertex = [by_value[l] for l in primary.values]
     scalar = solve_mean_payoff(ScalarGame(view.arena, scal, 0), candidates=per_vertex)
 
     choice = dict(scalar.strategy_max)

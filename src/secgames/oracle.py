@@ -1,6 +1,6 @@
 """Brute-force ground truth: positional minimax, lasso enumeration, cycle
-decomposition, Zwick-Paterson value iteration for mean-payoff games, and the
-seeded test corpus generator.
+decomposition, Zwick-Paterson value iteration for mean-payoff games,
+one-vertex energy lifting, and the seeded test corpus generator.
 
 The oracle never touches solver code paths; it enumerates positional
 strategies, materializes profile outcomes as lassos and evaluates them
@@ -20,6 +20,7 @@ from math import ceil, floor
 
 from .errors import EnumerationCapError, InvalidLassoError
 from .game import Lasso, Measure, PayoffPair, WeightedGame, eval_lasso_payoff, lex_key
+from .graphs import Arena
 from .zerosum import ScalarGame
 
 DEFAULT_CAP = 10**6
@@ -229,6 +230,82 @@ def zp_value_iteration(game: ScalarGame, check_every: int = 64) -> list[Fraction
     if remaining:
         raise RuntimeError("value iteration failed to isolate a value")
     return [v for v in values]  # type: ignore[list-item]
+
+
+def energy_measure_by_lifting(
+    arena: Arena,
+    wts: list[int],
+    keeper: int,
+    frozen_win: set[int] = frozenset(),
+    frozen_lose: set[int] = frozenset(),
+) -> list[int]:
+    """Least progress measure for "keeper forms only cycles of weight >= 0"
+    by one-vertex lifting from a worklist (Brim et al., FMSD 2011).
+
+    Measures lie in 0..cap or top = cap + 1 with cap = n * maxdrop;
+    frozen_win / frozen_lose vertices are pinned to 0 / top and an edge
+    into a frozen_win vertex asks for 0.  Each lift raises one vertex to
+    its need, so a losing vertex climbs to top one cycle weight at a time;
+    kept as an independent oracle for the set-lifting engine.
+    """
+    n = arena.n
+    maxdrop = max(0, -min(wts)) if wts else 0
+    cap = n * maxdrop
+    top = cap + 1
+
+    f = [0] * n
+    for v in frozen_lose:
+        f[v] = top
+
+    def lift_needed(v: int) -> int:
+        best = None
+        is_keeper = arena.owner[v] == keeper
+        for k in arena.out_edges[v]:
+            t = arena.edge_tgt[k]
+            if t in frozen_win:
+                cand = 0
+            else:
+                ft = f[t]
+                if ft >= top:
+                    cand = top
+                else:
+                    cand = ft - wts[k]
+                    if cand < 0:
+                        cand = 0
+                    elif cand > cap:
+                        cand = top
+            if is_keeper:
+                if best is None or cand < best:
+                    best = cand
+                    if best == 0:
+                        break
+            else:
+                if best is None or cand > best:
+                    best = cand
+                    if best >= top:
+                        break
+        return best if best is not None else top
+
+    queue = [v for v in range(n) if v not in frozen_win and v not in frozen_lose]
+    in_queue = [False] * n
+    for v in queue:
+        in_queue[v] = True
+    qi = 0
+    while qi < len(queue):
+        v = queue[qi]
+        qi += 1
+        in_queue[v] = False
+        need = lift_needed(v)
+        if need > f[v]:
+            f[v] = need
+            for k in arena.in_edges[v]:
+                u = arena.edge_src[k]
+                if u in frozen_win or u in frozen_lose:
+                    continue
+                if not in_queue[u]:
+                    in_queue[u] = True
+                    queue.append(u)
+    return f
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,13 @@ Engines:
   * attractor-based reachability/safety (graphs.attractor)
   * Zielonka recursion for parity games with a handful of priorities
   * exact mean-payoff values via threshold (energy) progress measures,
-    with optimal strategies read off the finished measures
+    with optimal strategies read off the finished measures.  The least
+    measure is computed by set lifting: each round raises, by the same
+    amount, the least set S that holds every vertex whose measure is too
+    low and is closed under edges that are tight into S, so a closed
+    losing set jumps to top in one round instead of climbing one cycle
+    weight at a time.  It is the measure one-vertex lifting reaches
+    (`energy_region` gives S, the amount and the reason)
   * exact policy iteration for discounted games
   * SCC-based emptiness for a conjunction of two Rabin pairs on graphs
 """
@@ -15,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd
 
+from .errors import InternalError
 from .graphs import Arena, attractor, reachable_from, shortest_path, tarjan_sccs
 
 
@@ -83,6 +90,113 @@ def solve_parity(arena: Arena, priority: list[int]):
 # mean-payoff games (exact, pseudo-polynomial)
 
 
+def _least_progress_measure(
+    arena: Arena,
+    wts: list[int],
+    keeper: int,
+    frozen_win: set[int],
+    frozen_lose: set[int],
+) -> tuple[list[int], int]:
+    """The least progress measure and its top, by set lifting (see
+    `energy_region`)."""
+    n = arena.n
+    maxdrop = max(0, -min(wts)) if wts else 0
+    top = n * maxdrop + 1
+    owner, out_edges, in_edges = arena.owner, arena.out_edges, arena.in_edges
+    edge_src, edge_tgt = arena.edge_src, arena.edge_tgt
+
+    f = [0] * n
+    win = [False] * n
+    frozen = [False] * n
+    for v in frozen_win:
+        win[v] = frozen[v] = True
+    for v in frozen_lose:
+        f[v] = top
+        frozen[v] = True
+
+    # Only the lifted set and its predecessors can turn unhappy, so they are
+    # the next round's `dirty` list.  `checked` and `in_s` hold round stamps.
+    dirty = [v for v in range(n) if not frozen[v]]
+    checked = [0] * n
+    in_s = [0] * n
+    rnd = 0
+    while True:
+        rnd += 1
+        s_list = []
+        for v in dirty:
+            if checked[v] == rnd:
+                continue
+            checked[v] = rnd
+            fv = f[v]
+            if fv >= top:
+                continue
+            edges = out_edges[v]
+            if owner[v] == keeper:
+                unhappy = True
+                for k in edges:
+                    t = edge_tgt[k]
+                    if win[t] or (f[t] < top and f[t] - wts[k] <= fv):
+                        unhappy = False
+                        break
+            else:
+                unhappy = not edges
+                for k in edges:
+                    t = edge_tgt[k]
+                    if not win[t] and (f[t] >= top or f[t] - wts[k] > fv):
+                        unhappy = True
+                        break
+            if unhappy:
+                in_s[v] = rnd
+                s_list.append(v)
+        if not s_list:
+            return f, top
+
+        # close S under tight edges, collecting every predecessor on the way
+        dirty = list(s_list)
+        into_s: dict[int, int] = {}  # keeper vertex -> edges violated or tight into S
+        i = 0
+        while i < len(s_list):
+            u = s_list[i]
+            i += 1
+            fu = f[u]
+            for k in in_edges[u]:
+                p = edge_src[k]
+                if frozen[p] or in_s[p] == rnd or f[p] >= top:
+                    continue
+                dirty.append(p)
+                fp = f[p]
+                if fu - wts[k] != fp:
+                    continue
+                if owner[p] == keeper:
+                    c = into_s.get(p)
+                    if c is None:
+                        c = 0
+                        for k2 in out_edges[p]:
+                            t = edge_tgt[k2]
+                            if not win[t] and (f[t] >= top or f[t] - wts[k2] > fp):
+                                c += 1
+                    c += 1
+                    if c < len(out_edges[p]):
+                        into_s[p] = c
+                        continue
+                in_s[p] = rnd
+                s_list.append(p)
+
+        delta = top
+        for u in s_list:
+            fu = f[u]
+            for k in out_edges[u]:
+                t = edge_tgt[k]
+                if in_s[t] == rnd or win[t] or f[t] >= top:
+                    continue
+                x = f[t] - wts[k] - fu
+                if 0 < x < delta:
+                    delta = x
+        for u in s_list:
+            x = f[u] + delta
+            f[u] = x if x < top else top
+
+
 def energy_region(
     arena: Arena,
     wts: list[int],
@@ -96,68 +210,36 @@ def energy_region(
     losing positions (their measure is pinned to 0 / top).  Returns
     (region, strategy) where the strategy picks, for keeper vertices inside
     the region, the lowest-index edge consistent with the measure.
+
+    The measure f maps each vertex to 0..cap or top = cap + 1, with
+    cap = n * maxdrop.  An edge u -> t needs f[u] >= f[t] - w, read as 0
+    below 0 and as top above cap; an edge into a frozen_win vertex needs 0.
+    A keeper vertex needs its cheapest edge, an opponent vertex its
+    dearest; a vertex is unhappy while its need exceeds f.  Rather than
+    lift one vertex at a time, which proves a loss one cycle weight at a
+    time, each round lifts a set (Dorfman, Kaplan & Zwick, ICALP 2019):
+      * S is the least set of unfrozen vertices below top that holds every
+        unhappy vertex, every keeper vertex each of whose edges is violated
+        or tight into S, and every opponent vertex with an edge tight into
+        S.  Tight means f[t] - w == f[u] exactly, so an edge with
+        f[t] - w < f[u] is slack even at f[u] = 0.
+      * delta is the smallest violation f[t] - w - f[u] over the violated
+        edges from S to outside S; an edge into a top vertex counts as
+        violation top.  All of S rises by delta, capped at top, so S goes
+        to top when no edge bounds it.
+    The rounds reach the least fixpoint mu of one-vertex lifting, because
+    no round passes mu.  Let M be the vertices of S whose rise d to mu is
+    smallest, and suppose d < delta.  Under mu, a violated edge from S
+    needs more than f[u] + d: one that leaves S is violated by at least
+    delta, one that stays in S also gains its target's rise.  So does an
+    edge tight into S outside M.  A vertex of M, whose mu is f + d, is
+    therefore not unhappy and would not join S without M by either rule;
+    S without M is closed, against S being least.  When no vertex is
+    unhappy, f is a fixpoint below mu, so it is mu.
     """
-    n = arena.n
-    maxdrop = max(0, -min(wts)) if wts else 0
-    cap = n * maxdrop
-    top = cap + 1
-
-    f = [0] * n
-    for v in frozen_lose:
-        f[v] = top
-
-    def lift_needed(v: int) -> int:
-        best = None
-        is_keeper = arena.owner[v] == keeper
-        for k in arena.out_edges[v]:
-            t = arena.edge_tgt[k]
-            if t in frozen_win:
-                cand = 0
-            else:
-                ft = f[t]
-                if ft >= top:
-                    cand = top
-                else:
-                    cand = ft - wts[k]
-                    if cand < 0:
-                        cand = 0
-                    elif cand > cap:
-                        cand = top
-            if is_keeper:
-                if best is None or cand < best:
-                    best = cand
-                    if best == 0:
-                        break
-            else:
-                if best is None or cand > best:
-                    best = cand
-                    if best >= top:
-                        break
-        return best if best is not None else top
-
-    pending = [v for v in range(n) if v not in frozen_win and v not in frozen_lose]
-    in_queue = [False] * n
-    for v in pending:
-        in_queue[v] = True
-    qi = 0
-    queue = pending
-    while qi < len(queue):
-        v = queue[qi]
-        qi += 1
-        in_queue[v] = False
-        need = lift_needed(v)
-        if need > f[v]:
-            f[v] = need
-            for k in arena.in_edges[v]:
-                u = arena.edge_src[k]
-                if u in frozen_win or u in frozen_lose:
-                    continue
-                if not in_queue[u]:
-                    in_queue[u] = True
-                    queue.append(u)
-
+    f, top = _least_progress_measure(arena, wts, keeper, frozen_win, frozen_lose)
     region = set(frozen_win)
-    region.update(v for v in range(n) if f[v] < top and v not in frozen_lose)
+    region.update(v for v in range(arena.n) if f[v] < top and v not in frozen_lose)
     strategy = {}
     for v in region:
         if arena.owner[v] != keeper or v in frozen_win:
@@ -207,7 +289,7 @@ def _mp_candidates(n: int, lo: Fraction, hi: Fraction) -> list[Fraction]:
     return cands
 
 
-def solve_mean_payoff(game: ScalarGame, candidates: dict[int, list[Fraction]] | None = None) -> SolveResult1D:
+def solve_mean_payoff(game: ScalarGame, candidates: list[list[Fraction]] | None = None) -> SolveResult1D:
     """Exact values and uniform positional optimal strategies.
 
     Values are pinned by binary search over the rationals with denominator
@@ -215,6 +297,8 @@ def solve_mean_payoff(game: ScalarGame, candidates: dict[int, list[Fraction]] | 
     progress measure.  `candidates` optionally restricts, per vertex, the
     set of possible values (must contain the true value); tight candidate
     ranges let threshold queries freeze far-away vertices as absorbing.
+    Vertices that share one candidate list object are bisected together,
+    so a caller passes the same list to every vertex of a group.
     """
     arena = game.arena
     n = arena.n
@@ -228,7 +312,15 @@ def solve_mean_payoff(game: ScalarGame, candidates: dict[int, list[Fraction]] | 
         shared = _mp_candidates(n, lo, hi)
         per_vertex = [shared] * n
     else:
-        per_vertex = [sorted(set(candidates[v])) for v in range(n)]
+        # sort each distinct list once; vertices keep sharing the sorted copy
+        sorted_of: dict[int, list[Fraction]] = {}
+        per_vertex = []
+        for v in range(n):
+            given = candidates[v]
+            cands = sorted_of.get(id(given))
+            if cands is None:
+                cands = sorted_of[id(given)] = sorted(set(given))
+            per_vertex.append(cands)
 
     # current known bracket of each vertex's value, as candidate bounds
     br_lo = [pv[0] for pv in per_vertex]
@@ -261,16 +353,20 @@ def solve_mean_payoff(game: ScalarGame, candidates: dict[int, list[Fraction]] | 
         rec(high, cands[mid:])
         rec(low, cands[:mid])
 
-    groups: dict[tuple, set[int]] = {}
+    groups: dict[int, tuple[list[Fraction], set[int]]] = {}
     for v in range(n):
-        groups.setdefault(tuple(per_vertex[v]), set()).add(v)
-    for key, vset in sorted(groups.items(), key=lambda kv: kv[0]):
-        rec(vset, list(key))
+        cands = per_vertex[v]
+        groups.setdefault(id(cands), (cands, set()))[1].add(v)
+    for cands, vset in sorted(groups.values(), key=lambda g: g[0]):
+        rec(vset, cands)
 
-    vals = [v if v is not None else Fraction(0) for v in values]
+    if None in values:
+        raise InternalError("value bisection left a vertex without a value")
+    vals = values
 
     strategy_max: dict[int, int] = {}
     strategy_min: dict[int, int] = {}
+    neg = [-w for w in wts]
     for t in sorted(set(vals)):
         cls = {v for v in range(n) if vals[v] == t}
         kin = {v for v in range(n) if vals[v] > t}
@@ -280,7 +376,6 @@ def solve_mean_payoff(game: ScalarGame, candidates: dict[int, list[Fraction]] | 
             if arena.owner[v] == pmax:
                 strategy_max[v] = strat[v]
         # dual game: the minimizer keeps mean payoff <= t
-        neg = [-w for w in wts]
         region2, strat2 = mp_threshold_region(
             arena, neg, 1 - pmax, -t, kout, kin
         )

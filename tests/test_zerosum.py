@@ -6,10 +6,12 @@ import pytest
 
 from secgames.game import Measure
 from secgames.graphs import Arena, attractor
-from secgames.oracle import zp_value_iteration
+from secgames.oracle import energy_measure_by_lifting, zp_value_iteration
 from secgames.zerosum import (
     ScalarGame,
+    _least_progress_measure,
     check_discounted_fixpoint,
+    energy_region,
     solve_discounted,
     solve_mean_payoff,
     solve_parity,
@@ -268,6 +270,72 @@ class TestMeanPayoff:
             wts = [rng.randint(-2, 2) for _ in range(a.m)]
             game = ScalarGame(a, wts, 0)
             assert zp_value_iteration(game) == solve_mean_payoff(game).values
+
+
+def _region_and_strategy(arena, wts, keeper, frozen_win, frozen_lose, f):
+    """Region and lowest-index keeper strategy read from a finished measure."""
+    top = arena.n * max(0, -min(wts)) + 1
+    region = set(frozen_win) | {v for v in range(arena.n) if f[v] < top and v not in frozen_lose}
+    strategy = {}
+    for v in region:
+        if arena.owner[v] != keeper or v in frozen_win:
+            continue
+        for k in arena.out_edges[v]:
+            t = arena.edge_tgt[k]
+            if t in frozen_win or (f[t] < top and f[t] - wts[k] <= f[v]):
+                strategy[v] = k
+                break
+    return region, strategy
+
+
+class CountingList(list):
+    """A list that counts its item reads."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+class TestEnergyRegion:
+    def test_matches_one_vertex_lifting(self):
+        # set lifting reaches the least progress measure of one-vertex lifting
+        rng = random.Random(2019)
+        for case in range(2400):
+            n = rng.randint(2, 9)
+            owner = [rng.randint(0, 1) for _ in range(n)]
+            edges = []
+            for v in range(n):
+                for t in rng.sample(range(n), rng.randint(1, min(3, n))):
+                    edges.append((v, t))
+            a = Arena(n, owner, edges)
+            W = 1000 if case % 25 == 0 else rng.choice((1, 3, 20))
+            wts = [rng.randint(-W, W) for _ in edges]
+            order = rng.sample(range(n), n)
+            n_win, n_lose = rng.randint(0, n // 3), rng.randint(0, n // 3)
+            frozen_win = set(order[:n_win])
+            frozen_lose = set(order[n_win:n_win + n_lose])
+            keeper = rng.randint(0, 1)
+            case_args = (a, wts, keeper, frozen_win, frozen_lose)
+            f = energy_measure_by_lifting(*case_args)
+            assert _least_progress_measure(*case_args)[0] == f, (n, owner, edges, wts)
+            assert energy_region(*case_args) == _region_and_strategy(*case_args, f)
+
+    @pytest.mark.parametrize("K", [10**4, 10**5])
+    def test_losing_cycles_cost_no_weight_steps(self, K):
+        # keeper v0 -> v1 (+K); opponent v1 -> v0 (-(K+1)), v1 -> v2 (0);
+        # v2 -> v2 (-1).  One-vertex lifting climbs to top = 3(K+1)+1 in
+        # steps of one cycle weight; set lifting needs a few rounds
+        a = Arena(3, [0, 1, 0], [(0, 1), (1, 0), (1, 2), (2, 2)])
+        wts = [K, -(K + 1), 0, -1]
+        a.out_edges = out_edges = CountingList(a.out_edges)
+        a.in_edges = in_edges = CountingList(a.in_edges)
+        region, strategy = energy_region(a, wts, 0)
+        assert region == set() and strategy == {}
+        assert out_edges.reads + in_edges.reads <= 10 * (a.n + a.m)
 
 
 def _check_mp_strategies(a, wts, pmax, res):
